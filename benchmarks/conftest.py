@@ -1,9 +1,9 @@
 """Shared benchmark fixtures: real small-scale workloads + model helpers.
 
-Every benchmark module regenerates one paper artifact (see DESIGN.md
-experiment index): it *measures* the real algorithms at laptop scale with
-pytest-benchmark, and *prints* the paper-vs-model comparison at the paper's
-N=128 scale (the numbers archived in EXPERIMENTS.md).
+Every benchmark module regenerates one paper artifact (its docstring names
+the table or figure): it *measures* the real algorithms at laptop scale
+with pytest-benchmark, and *prints* the paper-vs-model comparison at the
+paper's N=128 scale (run with ``-s`` to see the tables).
 """
 
 from __future__ import annotations

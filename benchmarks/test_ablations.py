@@ -1,4 +1,4 @@
-"""E13-E17 — design-choice ablations (DESIGN.md Sec. 5).
+"""E13-E17 — design-choice ablations.
 
 These sweep the knobs the paper fixes by argument, confirming each argument
 quantitatively:

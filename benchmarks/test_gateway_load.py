@@ -17,9 +17,9 @@ past saturation.  Two hard assertions:
   decision must come back fast (p99 below ``MAX_SHED_LATENCY_S`` —
   rejection is cheap), and every *accepted* job must still complete.
 
-The printed table archives p50/p99/throughput for the warm/cold mixes
-(EXPERIMENTS.md); the paper column is n/a — the paper predates the
-serving layer, these are ours-only operational numbers.
+The printed table reports p50/p99/throughput for the warm/cold mixes;
+the paper column is n/a — the paper predates the serving layer, these
+are ours-only operational numbers.
 """
 
 from __future__ import annotations

@@ -72,7 +72,6 @@ from repro.minimize import (
 from repro.mapping import (
     FTMapConfig,
     FTMapResult,
-    run_ftmap,
     run_sweep,
     sweep_grid,
     SweepReport,
@@ -94,7 +93,7 @@ from repro.api import (
 )
 from repro.obs import MetricsRegistry, Tracer, metrics_registry
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Molecule",
@@ -132,7 +131,6 @@ __all__ = [
     "select_minimize_backend",
     "FTMapConfig",
     "FTMapResult",
-    "run_ftmap",
     "run_sweep",
     "sweep_grid",
     "SweepReport",

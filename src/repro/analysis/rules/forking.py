@@ -5,10 +5,9 @@ Forking (or spawning) with a lock held is a classic deadlock factory:
 the thread that would release it, and even spawn-based pools inherit a
 serialization point — a pool constructed or fed while the parent holds a
 lock couples worker scheduling to that lock's critical section.  The
-repo's process machinery (:class:`repro.workers.pool.ProcessWorkerPool`,
-:func:`repro.util.parallel.parallel_map`) is deliberately structured to
-start and feed workers *outside* every lock; this rule pins that
-discipline down.
+repo's process machinery (:class:`repro.workers.pool.ProcessWorkerPool`)
+is deliberately structured to start and feed workers *outside* every
+lock; this rule pins that discipline down.
 
 Flagged inside any ``with <lock>:`` block (a ``self`` attribute the
 enclosing class assigned a ``threading.Lock``/``RLock``/``Condition``,
@@ -17,7 +16,7 @@ or a local/module name bound to one):
 * ``os.fork`` / ``os.forkpty`` calls,
 * process-pool and process construction — ``multiprocessing.Process``,
   ``ProcessPoolExecutor``, a context's ``.Pool``, the repo's
-  ``ProcessWorkerPool`` / ``parallel_map`` / ``multicore_dock_rotations``,
+  ``ProcessWorkerPool``,
 * ``.submit(...)`` on a local bound to a process pool in the same
   function (thread pools are fine — submitting to a
   ``ThreadPoolExecutor`` under a lock is an ordinary pattern here).
@@ -47,8 +46,6 @@ _SPAWN_SEGMENTS = {
     "ProcessPoolExecutor",
     "Pool",
     "ProcessWorkerPool",
-    "parallel_map",
-    "multicore_dock_rotations",
 }
 
 #: Constructors whose result makes a local "a process pool" (its

@@ -8,10 +8,7 @@ cooperative once a job runs: the flag is checked at every stage boundary
 (per probe, per pipeline stage, and — when the request shards
 minimization over multiple virtual devices — per shard start and per
 batch chunk within a shard), so a running job stops at the next
-boundary rather than mid-kernel.  One exception: a request running in
-fork mode (``probe_workers > 1``) executes its probe fan-out as a single
-process-level barrier, so cancellation there applies before the fork and
-again at the consensus stage, not between probes.
+boundary rather than mid-kernel.
 """
 
 from __future__ import annotations

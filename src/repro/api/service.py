@@ -34,8 +34,8 @@ provenance
 (:attr:`MapResult.minimize_provenance`).  Warm requests skip the stage
 entirely through the shard-invariant minimized-ensemble cache.
 
-Every legacy entrypoint (:func:`repro.mapping.ftmap.run_ftmap`, the sweep
-runner, examples, benchmarks) is a thin client of this service.
+The sweep runner, the gateway, examples and benchmarks are thin clients
+of this service.
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ class FTMapService:
             )
         self.default_config = config if config is not None else FTMapConfig()
         # An explicitly injected manager is pinned: every request uses it,
-        # whatever its config says — the contract the legacy cache=
-        # arguments of run_ftmap/run_sweep rely on (e.g. a sweep sharing
-        # one manager across variants with differing cache fields).
+        # whatever its config says — the contract run_sweep's cache=
+        # argument relies on (a sweep sharing one manager across variants
+        # with differing cache fields).
         self._cache_pinned = cache is not None
         self.cache = (
             cache if cache is not None else self.default_config.cache_manager()
@@ -278,7 +278,9 @@ class FTMapService:
 
         Equivalent to submitting ``MapRequest(receptor, config, probes)``
         and waiting, but without consuming a job worker — the right call
-        for scripts, sweeps and tests.
+        for scripts, sweeps and tests.  Each call gets its own request id
+        (``sync-<n>``), so concurrent calls never share per-request
+        resources such as shared-memory segment names.
         """
         request = MapRequest(
             receptor=receptor,
@@ -286,7 +288,10 @@ class FTMapService:
             probes=probes,
             streaming=streaming,
         )
-        handle = JobHandle("sync", on_event=self._on_event)
+        with self._lock:
+            self._job_counter += 1
+            job_id = f"sync-{self._job_counter}"
+        handle = JobHandle(job_id, on_event=self._on_event)
         return self._execute(request, handle)
 
     # -- internals ---------------------------------------------------------------
@@ -323,7 +328,7 @@ class FTMapService:
             name: build_probe(name) for name in cfg.probe_names
         }
         items = list(probe_set.items())
-        mode = self._resolve_streaming(request, cfg, len(items))
+        mode = self._resolve_streaming(request, len(items))
         log_event(
             "request.started",
             job_id=handle.job_id,
@@ -394,27 +399,16 @@ class FTMapService:
         # stage pool can run (fork preferred, spawn otherwise).
         return not mp.current_process().daemon
 
-    def _resolve_streaming(
-        self, request: MapRequest, cfg: FTMapConfig, n_items: int
-    ) -> str:
+    def _resolve_streaming(self, request: MapRequest, n_items: int) -> str:
         """Actual scheduling mode for a request.
 
-        An explicit ``request.streaming`` always wins — a client that
-        asked for ``"sequential"`` gets it even when the config names
-        ``probe_workers`` (which used to silently force the legacy fork
-        fan-out).  Without a request override, ``cfg.probe_workers > 1``
-        opts into process streaming, then the service default applies;
+        An explicit ``request.streaming`` wins over the service default;
         ``"auto"`` is the cost model: overlap is worth a worker pool only
         when there are ≥2 probes to pipeline *and* ≥2 CPUs to run them
         on, otherwise threads (one stage per probe in flight) or the
         plain sequential loop.
         """
-        mode = request.streaming
-        if mode is None:
-            if (cfg.probe_workers or 1) > 1 and n_items > 1:
-                mode = "process"
-            else:
-                mode = self.streaming
+        mode = request.streaming or self.streaming
         if mode == "auto":
             if n_items > 1 and usable_cpus() >= 2:
                 mode = "process"

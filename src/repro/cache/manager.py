@@ -22,8 +22,8 @@ Waits surface as :attr:`CacheManager.singleflight_waits` and the
 Managers are resolved through a small per-process registry
 (:func:`resolve_manager`), so every caller that asks for the same
 ``(policy, directory, budget)`` gets the *same* instance — that is what
-lets repeated :func:`~repro.mapping.ftmap.run_ftmap` calls and sweep runs
-hit each other's artifacts without any explicit plumbing.  The
+lets repeated :meth:`~repro.api.service.FTMapService.map` calls and sweep
+runs hit each other's artifacts without any explicit plumbing.  The
 environment configures the default: ``REPRO_CACHE_POLICY`` (off | memory
 | disk), ``REPRO_CACHE_DIR`` and ``REPRO_CACHE_MEMORY_BYTES``.
 
@@ -455,7 +455,7 @@ class CacheManager:
         )
 
     # Managers ride along when configs/engines cross process boundaries
-    # (probe streaming forks, sweep workers).  Only the configuration
+    # (stage worker pools).  Only the configuration
     # travels: workers rebuild empty tiers (and re-share through the disk
     # tier's directory when one is configured).
     def __getstate__(self):

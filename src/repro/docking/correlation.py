@@ -72,16 +72,6 @@ class SpectraCache:
         """Drop this variant's entries (other engines' spectra survive)."""
         self.manager.clear(namespace=f"spectra-{self.variant}")
 
-    # Engines holding a cache must survive pickling (process executors fork
-    # workers and ship bound methods).  An injected manager already pickles
-    # as configuration-only; the default manager is re-resolved per process.
-    def __getstate__(self):
-        return {"variant": self.variant, "cache": self._cache}
-
-    def __setstate__(self, state) -> None:
-        self.variant = state["variant"]
-        self._cache = state["cache"]
-
 
 def valid_translations(n: int, m: int) -> int:
     """Edge of the valid-translation cube: ``n - m + 1``."""

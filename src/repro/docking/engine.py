@@ -9,8 +9,7 @@ ablation benchmarks — funnels through :class:`DockingEngine`.  The facade
 2. builds the matching execution path — a :class:`PiperDocker` with the
    chosen correlation engine, or the virtual-GPU
    :class:`~repro.gpu.docking_pipeline.GpuPiperDocker` for ``gpu-sim``,
-3. runs rotations through the batched loop, optionally fanning host-side
-   gridding out over a :class:`~repro.util.parallel.RotationExecutor`.
+3. runs rotations through the batched loop.
 
 All backends produce the same poses (tested); they differ in wall-clock
 and, for ``gpu-sim``, in the predicted-device-time ledger attached to the
@@ -27,7 +26,6 @@ from repro.docking.piper import DockedPose, PiperConfig, PiperDocker
 from repro.obs.metrics import registry
 from repro.docking.selection import CPU_BACKENDS, BackendDecision, select_backend
 from repro.structure.molecule import Molecule
-from repro.util.parallel import RotationExecutor
 
 __all__ = ["DockingEngine", "DockingRun", "BACKEND_NAMES"]
 
@@ -60,7 +58,8 @@ class DockingEngine:
         cheapest CPU backend from the cost models; ``"gpu-sim"`` routes
         through the virtual-device pipeline.
     workers:
-        Host-side gridding fan-out (thread executor) for batched passes.
+        Kept so 1.x callers that pass it still run; must be ``None`` or
+        ``1``, because rotations are gridded in the calling thread.
     device:
         Virtual device for ``gpu-sim`` (defaults to the paper's C1060).
     cache:
@@ -79,6 +78,11 @@ class DockingEngine:
         device=None,
         cache=None,
     ) -> None:
+        if workers not in (None, 1):
+            raise ValueError(
+                f"workers={workers!r}: docking runs in the calling thread; "
+                "scale out with FTMapService streaming instead"
+            )
         self.config = config or PiperConfig()
         requested = backend if backend is not None else self.config.engine
         if requested not in BACKEND_NAMES:
@@ -103,9 +107,6 @@ class DockingEngine:
             device_spec=device.spec if device is not None else None,
         )
         self.backend = requested if requested != "auto" else self.decision.backend
-        self._executor = (
-            RotationExecutor("thread", workers) if workers and workers > 1 else None
-        )
         self._device = device
         if self.backend != "gpu-sim":
             self.docker.engine = self.docker._build_engine(self.backend)
@@ -120,12 +121,6 @@ class DockingEngine:
             self.batch_size = self.decision.batch_size
         else:
             self.batch_size = self.docker.default_batch_size()
-            if self._executor is not None and self.batch_size == 1:
-                # A gridding fan-out needs multi-rotation chunks to bite:
-                # widen the chunk for the loop-batch engines (direct/fft
-                # default to 1), keeping numerics identical.  The batched
-                # engine's own size is memory-budgeted — never widen it.
-                self.batch_size = 2 * self._executor.workers
 
     # -- execution ---------------------------------------------------------------
 
@@ -158,9 +153,7 @@ class DockingEngine:
                 predicted_device_time_s=res.predicted_device_time_s,
             )
         else:
-            poses = self.docker.run(
-                rotation_indices, batch_size=self.batch_size, executor=self._executor
-            )
+            poses = self.docker.run(rotation_indices, batch_size=self.batch_size)
             run = DockingRun(
                 poses=poses,
                 backend=self.backend,

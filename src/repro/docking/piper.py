@@ -41,7 +41,7 @@ from repro.grids.energyfunctions import EnergyGrids, protein_grids_cached
 from repro.grids.gridding import GridSpec
 from repro.grids.rotation import ligand_grid_spec, rotate_and_grid_ligand
 from repro.structure.molecule import Molecule
-from repro.util.parallel import RotationExecutor, chunked
+from repro.util.parallel import chunked
 
 __all__ = ["PiperConfig", "DockedPose", "PiperDocker", "ENGINE_NAMES"]
 
@@ -246,14 +246,13 @@ class PiperDocker:
         self,
         rotation_indices: Sequence[int] | None = None,
         batch_size: int | None = None,
-        executor: RotationExecutor | None = None,
     ) -> List[DockedPose]:
         """Dock over all (or selected) rotations; poses sorted by energy.
 
         Rotations are processed in batches: each batch is gridded on the
-        host (fanned out over ``executor`` when given), scored in one
-        ``correlate_batch`` call, and filtered per rotation.  A batch size
-        of 1 reproduces the classic per-rotation loop exactly.
+        host, scored in one ``correlate_batch`` call, and filtered per
+        rotation.  A batch size of 1 reproduces the classic per-rotation
+        loop exactly.
         """
         indices = list(
             range(len(self.rotations)) if rotation_indices is None else rotation_indices
@@ -261,12 +260,11 @@ class PiperDocker:
         bs = batch_size if batch_size is not None else self.default_batch_size()
         if bs < 1:
             raise ValueError("batch_size must be >= 1")
-        exe = executor or RotationExecutor("serial")
         cfg = self.config
 
         poses: List[DockedPose] = []
         for chunk in chunked(indices, bs):
-            grids = exe.map(self.grid_rotation, chunk)
+            grids = [self.grid_rotation(ri) for ri in chunk]
             score_stack = self.engine.correlate_batch(self.receptor_grids, grids)
             for ri, scores in zip(chunk, score_stack):
                 filtered = filter_top_poses(

@@ -20,7 +20,6 @@ from repro.mapping.ftmap import (
     dock_probe,
     map_probe,
     minimize_poses,
-    run_ftmap,
 )
 from repro.mapping.clustering import Cluster, cluster_poses
 from repro.mapping.consensus import ConsensusSite, consensus_sites
@@ -33,7 +32,6 @@ __all__ = [
     "FTMapResult",
     "MinimizeStage",
     "ProbeResult",
-    "run_ftmap",
     "dock_probe",
     "minimize_poses",
     "cluster_probe",

@@ -12,15 +12,13 @@ processes — see :mod:`repro.workers`).  The
 :class:`FTMapConfig` here is the single workload description shared by
 every layer, JSON-round-trippable through :meth:`FTMapConfig.to_dict`.
 
-:func:`run_ftmap` remains as the deprecated one-shot wrapper around the
-service.  The stages are workload-parameterized so tests and examples can
-run scaled-down instances (fewer rotations / probes / iterations) while
-the benchmarks use the cost models for paper-scale timing.
+The stages are workload-parameterized so tests and examples can run
+scaled-down instances (fewer rotations / probes / iterations) while the
+benchmarks use the cost models for paper-scale timing.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -54,12 +52,15 @@ __all__ = [
     "ProbeResult",
     "FTMapResult",
     "MinimizeStage",
-    "run_ftmap",
     "dock_probe",
     "minimize_poses",
     "cluster_probe",
     "map_probe",
 ]
+
+
+#: Scheduling fields of 1.x configs; :meth:`FTMapConfig.from_dict` drops them.
+_RETIRED_FIELDS = ("probe_workers", "docking_workers")
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,9 @@ class FTMapConfig:
     ensemble over that many virtual devices
     (:mod:`repro.minimize.multidevice`): with ``minimize_engine`` set to
     ``"multi-gpu-sim"`` it is the shard width, with ``"auto"`` it opts the
-    sharded backend into cost-model selection.  ``probe_workers`` opts a
-    run into process-staged probe streaming (``streaming="process"``:
-    dock and minimize in separate worker processes with shared-memory
-    pose shipping) — the coarse-grained parallelism of Sec. V.A applied
-    one level up from rotations; an explicit per-request streaming mode
-    still wins.
+    sharded backend into cost-model selection.  How a request's probes
+    are scheduled is not part of the workload: it is the ``streaming``
+    argument of :meth:`repro.api.FTMapService.map`.
 
     ``cache_policy`` drives the content-addressed artifact cache
     (:mod:`repro.cache`): ``"off"`` | ``"memory"`` | ``"disk"`` | the
@@ -110,11 +108,9 @@ class FTMapConfig:
     flexible_radius: float = 8.2
     engine: str = "direct"            # any DockingEngine backend, or "auto"
     batch_size: Optional[int] = None
-    docking_workers: Optional[int] = None
     minimize_engine: str = "auto"     # any MinimizationEngine backend
     minimize_batch_size: Optional[int] = None
     minimize_devices: Optional[int] = None   # virtual devices for minimization
-    probe_workers: Optional[int] = None
     cache_policy: str = "inherit"     # inherit | off | memory | disk
     cache_dir: Optional[str] = None
     cache_memory_bytes: Optional[int] = None
@@ -160,10 +156,8 @@ class FTMapConfig:
             )
         for name, value in (
             ("batch_size", self.batch_size),
-            ("docking_workers", self.docking_workers),
             ("minimize_batch_size", self.minimize_batch_size),
             ("minimize_devices", self.minimize_devices),
-            ("probe_workers", self.probe_workers),
             ("cache_memory_bytes", self.cache_memory_bytes),
         ):
             if value is not None and value < 1:
@@ -190,15 +184,30 @@ class FTMapConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FTMapConfig":
-        """Rebuild a config from :meth:`to_dict` output (re-validated)."""
+        """Rebuild a config from :meth:`to_dict` output (re-validated).
+
+        Documents written by 1.x still load: the retired scheduling fields
+        ``probe_workers`` / ``docking_workers`` are dropped (they never
+        changed a result bit), and ``minimize_engine="multiprocess"`` — the
+        retired forked per-pose backend — becomes ``"serial"``, which has
+        the same serial-fp64 numerics and therefore the same results and
+        cache keys.
+        """
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - known - set(_RETIRED_FIELDS))
         if unknown:
             raise ValueError(f"unknown FTMapConfig field(s): {unknown}")
-        kwargs = dict(data)
+        kwargs = {k: v for k, v in data.items() if k not in _RETIRED_FIELDS}
+        if kwargs.get("minimize_engine") == "multiprocess":
+            kwargs["minimize_engine"] = "serial"
         if "probe_names" in kwargs:
             kwargs["probe_names"] = tuple(kwargs["probe_names"])
         return cls(**kwargs)
+
+    @property
+    def docking_workers(self) -> None:
+        """Always ``None``; read-only, kept for 1.x callers of the retired field."""
+        return None
 
     def cache_manager(self) -> CacheManager:
         """The artifact cache this run uses (process-memoized per config)."""
@@ -218,7 +227,7 @@ class FTMapConfig:
         if self.engine == "gpu-sim":
             raise ValueError(
                 "engine='gpu-sim' is a DockingEngine facade backend, not a "
-                "PiperConfig correlation engine; use run_ftmap / "
+                "PiperConfig correlation engine; use FTMapService.map / "
                 "DockingEngine(..., backend='gpu-sim') which route it "
                 "through the virtual-device pipeline"
             )
@@ -393,7 +402,6 @@ def dock_probe(
         probe,
         config._docking_workload(),
         backend=config.engine,
-        workers=config.docking_workers,
         cache=manager if manager.enabled else None,
     )
     span.set_attributes(
@@ -437,13 +445,12 @@ class MinimizeStage:
 
 
 #: Numerics families of the minimization backends: every backend in a
-#: family produces bitwise-identical per-pose results (serial ==
-#: multiprocess == gpu-sim's fp64 reference numerics; batched ==
-#: multi-gpu-sim's fp32 lock-step arithmetic, shard/batch-invariant), so
-#: cached ensembles are shared within a family and never across.
+#: family produces bitwise-identical per-pose results (serial == gpu-sim's
+#: fp64 reference numerics; batched == multi-gpu-sim's fp32 lock-step
+#: arithmetic, shard/batch-invariant), so cached ensembles are shared
+#: within a family and never across.
 _MINIMIZE_NUMERICS_FAMILY = {
     "serial": "serial-fp64",
-    "multiprocess": "serial-fp64",
     "gpu-sim": "serial-fp64",
     "batched": "batched-fp32",
     "multi-gpu-sim": "batched-fp32",
@@ -661,58 +668,3 @@ def map_probe(
         minimize_reduction_order=stage.reduction_order,
         minimize_cached=stage.cached,
     )
-
-
-def run_ftmap(
-    receptor: Molecule,
-    config: FTMapConfig | None = None,
-    probes: Dict[str, Molecule] | None = None,
-    cache: Optional[CacheManager] = None,
-) -> FTMapResult:
-    """Map a receptor with a set of probes (legacy one-shot entrypoint).
-
-    .. deprecated:: 1.3.0
-        ``run_ftmap`` is a thin wrapper over the session-scoped service:
-        it builds an ephemeral :class:`~repro.api.service.FTMapService`
-        per call, so repeated calls re-resolve everything a session would
-        keep warm.  Use ``FTMapService.map`` (or ``submit`` for async
-        jobs) instead; outputs are bitwise-identical.
-
-    Parameters
-    ----------
-    receptor:
-        Protein molecule (synthetic or from PDB).
-    config:
-        Workload configuration; defaults to a laptop-scale run.
-    probes:
-        Optional pre-built probe molecules; defaults to building
-        ``config.probe_names`` from the standard library.
-    cache:
-        Optional explicit :class:`~repro.cache.manager.CacheManager`
-        (overrides the config's cache fields); sweeps use this to share
-        one cache across config variants.
-
-    Returns
-    -------
-    :class:`FTMapResult` with per-probe docking/minimization details and
-    the ranked consensus sites.  With ``config.probe_workers > 1`` the
-    stages run in worker processes (order-preserving and bitwise-equal
-    to the sequential loop, so the result is deterministic either way).
-    When an artifact cache is
-    enabled, ``result.cache_stats`` carries this run's hit/miss delta.
-    """
-    warnings.warn(
-        "run_ftmap is a legacy wrapper around repro.api.FTMapService; "
-        "use FTMapService.map(receptor, config) / submit(MapRequest(...)) "
-        "for session-scoped, cache-aware serving",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Imported here: repro.api builds on this module (service -> stages),
-    # so the legacy shim resolves the service lazily to avoid the cycle.
-    from repro.api.service import FTMapService
-
-    cfg = config or FTMapConfig()
-    manager = cache if cache is not None else cfg.cache_manager()
-    service = FTMapService(config=cfg, cache=manager)
-    return service.map(receptor, config=cfg, probes=probes).result

@@ -12,11 +12,6 @@ all runs through one :class:`repro.api.FTMapService` session (one shared
 and cache hit rates, so the sharing is visible, not assumed.  Each run
 also records its variant's serialized config
 (:attr:`SweepRun.config_dict`) for replay and job logs.
-
-Serial by default; ``workers > 1`` fans configs out over forked processes
-(:func:`repro.util.parallel.parallel_map`).  Cross-run sharing then needs
-the ``disk`` cache policy — forked workers cannot see each other's memory
-tier, and the runner says so rather than silently running cold.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.cache.manager import CacheManager, CacheStats
 from repro.mapping.ftmap import FTMapConfig, FTMapResult
 from repro.structure.molecule import Molecule
-from repro.util.parallel import parallel_map
 
 __all__ = ["SweepRun", "SweepReport", "sweep_grid", "run_sweep"]
 
@@ -168,31 +162,11 @@ def _execute_one(service, receptor, probes, config, label) -> SweepRun:
     )
 
 
-# Worker state for parallel sweeps: one service (receptor/probes/shared
-# cache config) installed per forked process, tasks carry only
-# (index-labelled) configs.
-_SWEEP_WORKER_CTX = None
-
-
-def _init_sweep_worker(receptor, probes, cache) -> None:
-    global _SWEEP_WORKER_CTX
-    from repro.api.service import FTMapService
-
-    _SWEEP_WORKER_CTX = (FTMapService(cache=cache), receptor, probes)
-
-
-def _sweep_task(item) -> SweepRun:
-    label, config = item
-    service, receptor, probes = _SWEEP_WORKER_CTX
-    return _execute_one(service, receptor, probes, config, label)
-
-
 def run_sweep(
     receptor: Molecule,
     configs: Sequence[FTMapConfig],
     probes: Optional[Dict[str, Molecule]] = None,
     cache: Optional[CacheManager] = None,
-    workers: Optional[int] = None,
     labels: Optional[Sequence[str]] = None,
 ) -> SweepReport:
     """Map ``receptor`` under every config, sharing one artifact cache.
@@ -209,10 +183,6 @@ def run_sweep(
         Shared :class:`CacheManager`; defaults to the first config's
         manager (``configs[0].cache_manager()``), so setting
         ``cache_policy="memory"`` on the base config is enough.
-    workers:
-        Fan configs out over this many forked processes.  Requires a
-        disk-policy cache for cross-run sharing (memory tiers are
-        per-process); raises otherwise instead of silently running cold.
     labels:
         Optional per-run labels; defaults to the fields where each variant
         differs from ``configs[0]``.
@@ -220,7 +190,7 @@ def run_sweep(
     Returns
     -------
     :class:`SweepReport` with per-run results, wall times and cache
-    hit-rate deltas (run order matches ``configs`` in both modes).
+    hit-rate deltas (run order matches ``configs``).
     """
     configs = list(configs)
     if not configs:
@@ -232,30 +202,13 @@ def run_sweep(
         ]
     elif len(labels) != len(configs):
         raise ValueError(f"{len(labels)} labels for {len(configs)} configs")
-    items = list(zip(labels, configs))
+    # One session for the whole sweep: every variant is a request against
+    # the same service, sharing its artifact cache.
+    from repro.api.service import FTMapService
 
-    n_workers = workers or 1
-    if n_workers > 1 and len(items) > 1:
-        if manager.enabled and manager.disk is None:
-            raise ValueError(
-                "parallel sweeps share artifacts through the filesystem: use "
-                "cache_policy='disk' (or workers=1 for the in-memory tier)"
-            )
-        runs = parallel_map(
-            _sweep_task,
-            items,
-            processes=min(n_workers, len(items)),
-            initializer=_init_sweep_worker,
-            initargs=(receptor, probes, manager),
-        )
-    else:
-        # One session for the whole sweep: every variant is a request
-        # against the same service, sharing its artifact cache.
-        from repro.api.service import FTMapService
-
-        service = FTMapService(cache=manager)
-        runs = [
-            _execute_one(service, receptor, probes, cfg, label)
-            for label, cfg in items
-        ]
+    service = FTMapService(cache=manager)
+    runs = [
+        _execute_one(service, receptor, probes, cfg, label)
+        for label, cfg in zip(labels, configs)
+    ]
     return SweepReport(runs=runs)

@@ -11,7 +11,7 @@ The batched subsystem refines whole ensembles of docked conformations:
 :class:`EnsembleEnergyModel` evaluates a ``(P, N, 3)`` stack in one
 vectorized pass, :class:`BatchedMinimizer` advances every pose in lock-step
 with per-pose convergence, and :class:`MinimizationEngine` is the facade
-that auto-selects ``serial | batched | multiprocess | gpu-sim`` from the
+that auto-selects ``serial | batched | gpu-sim`` from the
 cost models (:mod:`repro.minimize.selection`).
 """
 

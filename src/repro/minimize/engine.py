@@ -5,25 +5,23 @@ every ensemble-refinement scenario — the FTMap minimization stage, the
 equivalence tests, the benchmarks — funnels through
 :class:`MinimizationEngine`.  The facade
 
-1. resolves a backend (``serial`` / ``batched`` / ``multiprocess`` /
-   ``gpu-sim`` / ``multi-gpu-sim`` / ``auto``) via the cost-model
-   selection layer (:mod:`repro.minimize.selection`), sized by ensemble
-   size x pair count — and, when a
-   :class:`~repro.exec.topology.DeviceTopology` is supplied, aware of the
-   sharded multi-device option,
+1. resolves a backend (``serial`` / ``batched`` / ``gpu-sim`` /
+   ``multi-gpu-sim`` / ``auto``) via the cost-model selection layer
+   (:mod:`repro.minimize.selection`), sized by ensemble size x pair
+   count — and, when a :class:`~repro.exec.topology.DeviceTopology` is
+   supplied, aware of the sharded multi-device option,
 2. builds the matching execution path — per-pose serial
    :class:`~repro.minimize.minimizer.Minimizer` runs, a
    :class:`~repro.minimize.batched.BatchedMinimizer` over an
-   :class:`~repro.minimize.ensemble.EnsembleEnergyModel`, a forked
-   per-pose fan-out, the serial path with a scheme-C virtual-GPU time
-   ledger for ``gpu-sim``, or the sharded
-   :class:`~repro.minimize.multidevice.MultiDeviceMinimizer` for
+   :class:`~repro.minimize.ensemble.EnsembleEnergyModel`, the serial
+   path with a scheme-C virtual-GPU time ledger for ``gpu-sim``, or the
+   sharded :class:`~repro.minimize.multidevice.MultiDeviceMinimizer` for
    ``multi-gpu-sim``,
 3. runs the ensemble and returns per-pose
    :class:`~repro.minimize.minimizer.MinimizationResult` lists.
 
-Numerics: ``serial``, ``multiprocess``, and double-precision ``batched``
-agree to floating-point summation order (tested); the production batched
+Numerics: ``serial`` and double-precision ``batched`` agree to
+floating-point summation order (tested); the production batched
 configuration evaluates in float32 — the paper's GPU arithmetic — and
 agrees within single-precision tolerance.  ``multi-gpu-sim`` is
 bitwise-identical to ``batched`` at the same precision whatever the
@@ -33,7 +31,6 @@ is fixed by the plan).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -54,14 +51,12 @@ from repro.minimize.multidevice import (
 from repro.minimize.selection import MinimizeBackendDecision, select_minimize_backend
 from repro.obs.metrics import registry
 from repro.structure.molecule import Molecule
-from repro.util.parallel import chunked, parallel_map
+from repro.util.parallel import chunked
 
 __all__ = ["MinimizationEngine", "MinimizationRun", "MINIMIZE_BACKEND_NAMES"]
 
 #: Backends the facade can execute.
-MINIMIZE_BACKEND_NAMES = (
-    "serial", "batched", "multiprocess", "gpu-sim", "multi-gpu-sim", "auto",
-)
+MINIMIZE_BACKEND_NAMES = ("serial", "batched", "gpu-sim", "multi-gpu-sim", "auto")
 
 
 @dataclass
@@ -105,8 +100,6 @@ class MinimizationEngine:
     batch_size:
         Poses per vectorized evaluation for the batched path (``None`` =
         cost-model default, memory-budgeted).
-    workers:
-        Process fan-out for ``multiprocess`` (default: host core count).
     precision:
         Batched-path arithmetic: ``"single"`` (default — the production
         configuration, matching the paper's fp32 GPU kernels) or
@@ -127,9 +120,9 @@ class MinimizationEngine:
         Concurrent shard executions for ``multi-gpu-sim`` (``1`` forces
         the sequential shard loop; default one thread per shard).
     serial_fast_path:
-        When True (default) the ``serial``, ``multiprocess``, and
-        ``gpu-sim`` per-pose models use the energies-only line-search
-        fast path (bitwise-identical results, ~1.2x faster iterations).
+        When True (default) the ``serial`` and ``gpu-sim`` per-pose
+        models use the energies-only line-search fast path
+        (bitwise-identical results, ~1.2x faster iterations).
         ``False`` restores the historical full-evaluation line search —
         the A/B switch the benchmark re-baselining measures against.
     """
@@ -142,7 +135,6 @@ class MinimizationEngine:
         config: MinimizerConfig | None = None,
         backend: str = "auto",
         batch_size: int | None = None,
-        workers: int | None = None,
         precision: str = "single",
         device=None,
         topology: DeviceTopology | None = None,
@@ -185,7 +177,6 @@ class MinimizationEngine:
         self._device = device
         self.topology = topology
         self.shard_workers = shard_workers
-        self.workers = workers or os.cpu_count() or 1
         # The ensemble model doubles as the cost-model's pair-count probe
         # (pose 0's movable-filtered list is representative — same topology,
         # same pocket scale across poses) and as the single-chunk batched
@@ -209,7 +200,6 @@ class MinimizationEngine:
             n_atoms=n,
             iterations=self.config.max_iterations,
             batch_size=batch_size,
-            workers=workers,
             include_gpu=backend == "gpu-sim",
             device_spec=device.spec if device is not None else None,
             topology=self.topology,
@@ -267,8 +257,6 @@ class MinimizationEngine:
             results = self._run_serial()
         elif self.backend == "batched":
             results = self._run_batched()
-        elif self.backend == "multiprocess":
-            results = self._run_multiprocess()
         elif self.backend == "multi-gpu-sim":
             md = MultiDeviceMinimizer(
                 self.molecule,
@@ -355,24 +343,6 @@ class MinimizationEngine:
             results.extend(BatchedMinimizer(model, self.config).run())
         return results
 
-    def _run_multiprocess(self) -> List[MinimizationResult]:
-        items = [
-            (self.coords_stack[p], self._movable_row(p)) for p in range(self.n_poses)
-        ]
-        return parallel_map(
-            _minimize_worker_task,
-            items,
-            processes=min(self.workers, self.n_poses),
-            initializer=_init_minimize_worker,
-            initargs=(
-                self.molecule,
-                self.config,
-                self.nonbonded_cutoff,
-                self.list_cutoff,
-                self.serial_fast_path,
-            ),
-        )
-
     def _run_gpu_sim(self):
         """Serial-reference numerics + the scheme-C virtual-device ledger.
 
@@ -396,28 +366,3 @@ class MinimizationEngine:
             predicted += res.iterations * gpu.iteration_timing().total_s
             results.append(res)
         return results, predicted
-
-
-# Module-level worker state: built once per forked worker by the
-# initializer, so the template molecule is shipped once, not per task.
-_MINIMIZE_WORKER_CTX = None
-
-
-def _init_minimize_worker(
-    molecule, config, nonbonded_cutoff, list_cutoff, fast_path=True
-) -> None:
-    global _MINIMIZE_WORKER_CTX
-    _MINIMIZE_WORKER_CTX = (molecule, config, nonbonded_cutoff, list_cutoff, fast_path)
-
-
-def _minimize_worker_task(item) -> MinimizationResult:
-    coords, movable = item
-    molecule, config, nonbonded_cutoff, list_cutoff, fast_path = _MINIMIZE_WORKER_CTX
-    model = EnergyModel(
-        molecule,
-        movable=movable,
-        nonbonded_cutoff=nonbonded_cutoff,
-        list_cutoff=list_cutoff,
-        energies_only=fast_path,
-    )
-    return Minimizer(model, config=config).run(coords=coords)

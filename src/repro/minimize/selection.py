@@ -5,12 +5,10 @@ given an ensemble size (poses), the per-pose active-pair count, and the
 atom count, predict the whole-phase cost of every minimization backend and
 pick the cheapest:
 
-* ``serial`` / ``batched`` / ``multiprocess`` from the reproduction-host
-  formulas of :class:`repro.perf.cpumodel.CpuModel` — the batched path
-  amortizes the fixed per-evaluation dispatch cost over the ensemble (it
-  wins when that overhead is a visible fraction, i.e. small/medium pair
-  counts), while process fan-out divides the array arithmetic across cores
-  (it wins for very large pair counts where arithmetic dominates),
+* ``serial`` / ``batched`` from the reproduction-host formulas of
+  :class:`repro.perf.cpumodel.CpuModel` — the batched path amortizes the
+  fixed per-evaluation dispatch cost over the ensemble (it wins when that
+  overhead is a visible fraction, i.e. small/medium pair counts),
 * ``gpu-sim`` from the analytic GPU cost model applied to the three
   scheme-C energy kernels (via the shared per-iteration predictor in
   :mod:`repro.gpu.minimize_common`), included only when a device spec is
@@ -34,7 +32,6 @@ reports) can show the full table, not just the winner.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -53,7 +50,7 @@ __all__ = [
 ]
 
 #: Backends that execute real host arithmetic (auto-selectable everywhere).
-MINIMIZE_CPU_BACKENDS = ("serial", "batched", "multiprocess")
+MINIMIZE_CPU_BACKENDS = ("serial", "batched")
 
 #: Default cap on poses per vectorized evaluation.
 DEFAULT_MINIMIZE_BATCH = 64
@@ -75,7 +72,6 @@ class MinimizeBackendDecision:
 
     backend: str
     batch_size: int
-    workers: int
     predictions: Dict[str, float]   # backend -> predicted whole-phase seconds
 
     @property
@@ -89,14 +85,13 @@ def predict_minimize_times(
     n_atoms: int,
     iterations: int,
     batch_size: Optional[int] = None,
-    workers: Optional[int] = None,
     cpu: Optional[CpuModel] = None,
     device_spec=None,
     topology: Optional[DeviceTopology] = None,
 ) -> Dict[str, float]:
     """Predicted whole-phase seconds for every minimization backend.
 
-    The host predictions (``serial``/``batched``/``multiprocess``) share
+    The host predictions (``serial``/``batched``) share
     ``CpuModel.host_minimization_phase_s``, whose per-iteration cost is
     ``1 + energy_only_fraction`` full evaluations: since the serial-floor
     re-baselining, every host backend's line-search probe uses the
@@ -114,16 +109,12 @@ def predict_minimize_times(
 
     cpu = cpu or host_model()
     batch = _resolve_batch(n_poses, n_pairs, batch_size)
-    w = workers or os.cpu_count() or 1
     if device_spec is None and topology is not None:
         device_spec = topology.device_spec
     times = {
         "serial": cpu.host_minimization_phase_s(n_poses, iterations, n_pairs, n_atoms),
         "batched": cpu.host_minimization_phase_s(
             n_poses, iterations, n_pairs, n_atoms, batch=batch
-        ),
-        "multiprocess": cpu.multiprocess_minimization_phase_s(
-            n_poses, iterations, n_pairs, n_atoms, workers=w
         ),
     }
     if device_spec is not None:
@@ -175,7 +166,6 @@ def select_minimize_backend(
     n_atoms: int,
     iterations: int,
     batch_size: Optional[int] = None,
-    workers: Optional[int] = None,
     include_gpu: bool = False,
     cpu: Optional[CpuModel] = None,
     device_spec=None,
@@ -188,17 +178,14 @@ def select_minimize_backend(
     must be an explicit choice); ``multi-gpu-sim`` is considered only when
     a multi-device ``topology`` is supplied — naming a topology is the
     same explicit choice one fan-out wider.  A single pose never selects
-    the batched, multiprocess, or sharded paths — there is nothing to
-    batch, fan out, or shard.
+    the batched or sharded paths — there is nothing to batch or shard.
     """
     if include_gpu and device_spec is None:
         device_spec = (
             topology.device_spec if topology is not None else default_device_spec()
         )
-    w = workers or os.cpu_count() or 1
     times = predict_minimize_times(
-        n_poses, n_pairs, n_atoms, iterations, batch_size, w, cpu, device_spec,
-        topology,
+        n_poses, n_pairs, n_atoms, iterations, batch_size, cpu, device_spec, topology
     )
     candidates = dict(times)
     if not include_gpu:
@@ -207,7 +194,6 @@ def select_minimize_backend(
         candidates.pop("multi-gpu-sim", None)
     if n_poses <= 1:
         candidates.pop("batched", None)
-        candidates.pop("multiprocess", None)
         candidates.pop("multi-gpu-sim", None)
     backend = min(candidates, key=candidates.get)
     batch = (
@@ -215,9 +201,7 @@ def select_minimize_backend(
         if backend in ("batched", "gpu-sim", "multi-gpu-sim")
         else 1
     )
-    return MinimizeBackendDecision(
-        backend=backend, batch_size=batch, workers=w, predictions=times
-    )
+    return MinimizeBackendDecision(backend=backend, batch_size=batch, predictions=times)
 
 
 def _resolve_batch(n_poses: int, n_pairs: int, batch_size: Optional[int]) -> int:

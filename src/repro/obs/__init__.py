@@ -25,8 +25,7 @@ Three zero-dependency pillars:
   Prometheus text at the gateway's ``GET /v1/metrics``.
 * :mod:`repro.obs.logging` — structured JSON log lines with
   trace/job/tenant correlation ids (off unless configured), plus the
-  :class:`RunLogger` examples/benchmarks always used (folded in from
-  ``repro.util.runlog``, which remains as a deprecation shim).
+  :class:`RunLogger` the examples and benchmarks use.
 """
 
 from repro.obs.logging import RunLogger, StructuredLogger, configure_logging, log_event

@@ -9,9 +9,8 @@ Two audiences, one module:
   gateway accounting.  Off until :func:`configure_logging` turns it on;
   a disabled :func:`log_event` is one flag check.
 * :class:`RunLogger` is the human-facing timestamped section/step logger
-  the examples and benchmark harnesses always used, folded in from
-  ``repro.util.runlog`` (which remains as a deprecation shim) so the
-  whole repo shares one logging home.
+  the examples and benchmark harnesses use, so the whole repo shares one
+  logging home.
 """
 
 from __future__ import annotations

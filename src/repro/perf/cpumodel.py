@@ -58,7 +58,6 @@ class CpuSpec:
     numpy_pair_ns: float = 40.0    # vectorized non-bonded work per pair per eval
     numpy_atom_ns: float = 5.0     # vectorized per-atom work (forces, bonded) per eval
     eval_dispatch_ms: float = 1.2  # fixed per-evaluation interpreter/dispatch cost
-    fork_spawn_ms: float = 30.0    # per-worker process-pool startup
     # Cost of an energies-only evaluation relative to a full energy+force
     # evaluation.  Every line-search probe (serial and batched alike, since
     # the serial-fast-paths re-baselining) skips gradient arithmetic and all
@@ -221,8 +220,8 @@ class CpuModel:
     # formulas below model the *reproduction's own* vectorized evaluator,
     # whose per-iteration cost splits into array arithmetic (linear in
     # pairs) plus a fixed interpreter/dispatch overhead per evaluation —
-    # the overhead is what ensemble batching amortizes, and what process
-    # fan-out cannot touch.  Used by ``repro.minimize.selection``.
+    # the overhead is what ensemble batching amortizes.  Used by
+    # ``repro.minimize.selection``.
 
     def vectorized_evaluation_s(self, pairs: int, atoms: int, poses: int = 1) -> float:
         """One NumPy energy/force evaluation of ``poses`` stacked poses."""
@@ -258,24 +257,3 @@ class CpuModel:
         )
         n_groups = -(-conformations // batch)
         return n_groups * iterations * per_iteration
-
-    def multiprocess_minimization_phase_s(
-        self,
-        conformations: int,
-        iterations: int,
-        pairs: int,
-        atoms: int,
-        workers: int,
-    ) -> float:
-        """Serial per-pose loop fanned out over ``workers`` forked processes.
-
-        Workers are clamped by the pose count — the execution path never
-        forks more processes than it has poses to hand out.
-        """
-        serial = self.host_minimization_phase_s(conformations, iterations, pairs, atoms)
-        w = max(1, min(workers, conformations))
-        if w == 1:
-            return serial
-        return serial / (w * self.spec.parallel_efficiency) + (
-            w * self.spec.fork_spawn_ms * 1e-3
-        )

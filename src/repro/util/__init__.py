@@ -1,6 +1,5 @@
-"""Utilities: multiprocessing fan-out, validation helpers, run logging."""
+"""Utilities: stage pipelining, validation helpers, run logging."""
 
-from repro.util.parallel import parallel_map, multicore_dock_rotations
 from repro.util.validation import (
     require_positive,
     require_shape,
@@ -9,8 +8,6 @@ from repro.util.validation import (
 from repro.obs.logging import RunLogger
 
 __all__ = [
-    "parallel_map",
-    "multicore_dock_rotations",
     "require_positive",
     "require_shape",
     "require_in_range",

@@ -1,37 +1,27 @@
-"""Parallel execution primitives: fan-out and stage pipelining.
+"""Parallel execution primitives: CPU accounting and stage pipelining.
 
-Fan-out ("Currently the FTMap production code supports only
-coarse-grained parallelism through distributing rotations across nodes of
-a server.  In previous work we created a multicore version of the docking
-phase") distributes independent work items — rotations, probes, sweep
-configs — across worker processes or threads, preserving order.
+Stage pipelining (:class:`PipelineExecutor`) flows one item through a
+*chain* of stages, and stage ``s`` of item ``k+1`` overlaps stage ``s+1``
+of item ``k``.  That is the service's "async probe streaming": probe k+1
+docks while probe k minimizes, so a multi-probe mapping request is
+bounded by its slowest stage, not the sum of stages.
 
-Stage pipelining (:class:`PipelineExecutor`) is the other axis: one item
-flows through a *chain* of stages, and stage ``s`` of item ``k+1``
-overlaps stage ``s+1`` of item ``k``.  That is the ROADMAP's "async probe
-streaming": probe k+1 docks while probe k minimizes, so a multi-probe
-mapping request is bounded by its slowest stage, not the sum of stages.
+Worker *processes* are started only by :mod:`repro.workers`.
 """
 
 from __future__ import annotations
 
 import contextvars
-import multiprocessing as mp
 import os
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 __all__ = [
-    "parallel_map",
-    "multicore_dock_rotations",
     "chunked",
     "usable_cpus",
-    "RotationExecutor",
     "PipelineExecutor",
     "pipeline_map",
 ]
@@ -62,54 +52,6 @@ def chunked(items: Sequence[T], size: int) -> Iterator[List[T]]:
     for start in range(0, len(items), size):
         yield list(items[start : start + size])
 
-
-class RotationExecutor:
-    """Order-preserving map over rotation work items.
-
-    The natural unit of parallelism in PIPER is the rotation; this executor
-    fans rotation tasks (gridding, scoring chunks) out over threads or
-    processes while keeping results in submission order, so every caller is
-    deterministic regardless of mode.
-
-    Parameters
-    ----------
-    mode:
-        ``"serial"`` (default), ``"thread"`` (NumPy/FFT work releases the
-        GIL, so threads help the gridding and correlation inner loops), or
-        ``"process"`` (fork-based; falls back to serial where ``fork`` is
-        unavailable).
-    workers:
-        Worker count; defaults to the host core count.
-    """
-
-    def __init__(self, mode: str = "serial", workers: int | None = None) -> None:
-        if mode not in ("serial", "thread", "process"):
-            raise ValueError(f"unknown executor mode {mode!r}")
-        self.mode = mode
-        self.workers = workers or os.cpu_count() or 1
-        self._pool: ThreadPoolExecutor | None = None
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item, preserving order."""
-        items = list(items)
-        if self.mode == "serial" or self.workers <= 1 or len(items) <= 1:
-            return [fn(x) for x in items]
-        if self.mode == "thread":
-            # Lazily created and reused: callers map once per rotation chunk,
-            # and a pool per chunk would churn threads on the hot path.
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            return list(self._pool.map(fn, items))
-        return parallel_map(fn, items, processes=self.workers)
-
-    def close(self) -> None:
-        """Shut down the reusable thread pool (no-op for other modes)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing
-        self.close()
 
 class _StageItem:
     """One item in flight: its index, current payload, or sticky error."""
@@ -256,103 +198,3 @@ def pipeline_map(
 ) -> List:
     """One-shot :class:`PipelineExecutor` — map ``items`` through ``stages``."""
     return PipelineExecutor(stages, mode=mode, queue_size=queue_size).map(items)
-
-
-# Module-level worker state: built once per process by the initializer so
-# the (large) receptor grids are voxelized per worker, not per task.
-_WORKER_DOCKER = None
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    processes: int | None = None,
-    chunksize: int = 1,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
-) -> List[R]:
-    """Order-preserving multiprocessing map with a serial fallback.
-
-    Uses ``fork`` where available (cheap with NumPy buffers); falls back to
-    serial execution when only one process is requested or the platform
-    lacks ``fork`` — keeping results deterministic either way.
-
-    ``initializer(*initargs)`` runs once per worker before any task (the
-    pattern that builds per-worker state — receptor grids, energy models —
-    once instead of per task); the serial fallback calls it once in-process
-    so ``fn`` sees the same globals either way.
-
-    Nested fan-outs degrade gracefully: pool workers are daemonic and may
-    not fork grandchildren, so a ``parallel_map`` reached from inside
-    another ``parallel_map`` task (e.g. a multiprocess minimization stage
-    inside a probe-streaming worker) runs serially instead of raising.
-    """
-    processes = processes or os.cpu_count() or 1
-
-    def serial() -> List[R]:
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(x) for x in items]
-
-    if processes <= 1 or len(items) <= 1 or mp.current_process().daemon:
-        return serial()
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return serial()
-    with ctx.Pool(
-        processes=processes, initializer=initializer, initargs=initargs
-    ) as pool:
-        return pool.map(fn, items, chunksize=chunksize)
-
-
-def _init_docker(receptor, probe, config) -> None:  # pragma: no cover - subprocess
-    global _WORKER_DOCKER
-    from repro.docking.piper import PiperDocker
-
-    _WORKER_DOCKER = PiperDocker(receptor, probe, config)
-
-
-def _dock_chunk(rotation_indices: List[int]):  # pragma: no cover - subprocess
-    return _WORKER_DOCKER.run(rotation_indices)
-
-
-def multicore_dock_rotations(
-    receptor,
-    probe,
-    config,
-    rotation_indices: Iterable[int],
-    processes: int | None = None,
-    chunk_size: int | None = None,
-):
-    """Dock a set of rotations across worker processes.
-
-    Returns the flat, energy-sorted pose list — identical to
-    ``PiperDocker.run`` on the same indices (tested), just computed on
-    multiple cores.  Workers receive rotation *chunks* so the configured
-    engine's batched path is exercised inside each worker too.  This is
-    the real-execution counterpart of the multicore *cost model* used by
-    the Sec. V.A comparison benchmark.
-    """
-    indices = list(rotation_indices)
-    processes = processes or os.cpu_count() or 1
-    if processes <= 1 or len(indices) <= 1:
-        from repro.docking.piper import PiperDocker
-
-        docker = PiperDocker(receptor, probe, config)
-        return docker.run(indices)
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:  # pragma: no cover
-        from repro.docking.piper import PiperDocker
-
-        docker = PiperDocker(receptor, probe, config)
-        return docker.run(indices)
-    size = chunk_size or max(1, (len(indices) + processes - 1) // processes)
-    with ctx.Pool(
-        processes=processes, initializer=_init_docker, initargs=(receptor, probe, config)
-    ) as pool:
-        nested = pool.map(_dock_chunk, list(chunked(indices, size)))
-    poses = [p for group in nested for p in group]
-    poses.sort()
-    return poses

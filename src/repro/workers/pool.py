@@ -1,10 +1,10 @@
 """A small fork/spawn-backed worker pool for pipeline stage tasks.
 
-Unlike :func:`repro.util.parallel.parallel_map` (one barriered fan-out
-per call), this pool is *resident*: workers start once per request, are
-fed stage tasks over per-worker pipes, and results stream back as each
-finishes — which is what lets probe ``k+1`` dock in one process while
-probe ``k`` minimizes in another, GIL-independently.
+The only place the package starts processes.  The pool is *resident*:
+workers start once per request, are fed stage tasks over per-worker
+pipes, and results stream back as each finishes — which is what lets
+probe ``k+1`` dock in one process while probe ``k`` minimizes in
+another, GIL-independently.
 
 Design points:
 
@@ -18,9 +18,8 @@ Design points:
 * **fork-without-locks discipline** — worker processes are always
   started outside the pool lock (a lock held across a fork is cloned
   *locked* into the child; rule REPRO-FORK enforces this repo-wide).
-* **daemonic workers** — nested process fan-out inside a stage (e.g. a
-  ``multiprocess`` minimize backend) degrades to its serial fallback
-  instead of forking grandchildren, mirroring the legacy fork path.
+* **daemonic workers** — a stage never forks grandchildren; a service
+  used inside a worker falls back to thread streaming.
 
 ``repro_worker_pool_size`` / ``repro_worker_busy`` gauges and
 :func:`worker_stats` (the ``/v1/stats`` ``workers`` section) aggregate

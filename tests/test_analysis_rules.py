@@ -192,15 +192,15 @@ class TestForkDiscipline:
             import multiprocessing as mp
             import threading
 
-            from repro.util.parallel import parallel_map
             from repro.workers import ProcessWorkerPool
 
             _LOCK = threading.RLock()
 
             def bad(items):
+                ctx = mp.get_context("fork")
                 with _LOCK:
                     mp.Process(target=print).start()
-                    parallel_map(print, items)
+                    ctx.Pool(2)
                     ProcessWorkerPool(2)
         """)
         assert rule_ids(findings) == ["REPRO-FORK"] * 3

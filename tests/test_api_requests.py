@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.api import MapRequest, receptor_fingerprint
+from repro.api import FTMapService, MapRequest, receptor_fingerprint
 from repro.api.errors import InvalidRequestError
 from repro.mapping.ftmap import FTMapConfig
 from repro.structure import build_probe, synthetic_protein
@@ -28,7 +29,7 @@ class TestConfigSerialization:
             batch_size=8,
             minimize_engine="batched",
             minimize_batch_size=4,
-            probe_workers=2,
+            minimize_devices=2,
             cache_policy="memory",
             cache_memory_bytes=1 << 20,
         )
@@ -48,6 +49,82 @@ class TestConfigSerialization:
     def test_from_dict_revalidates(self):
         with pytest.raises(ValueError, match="num_rotations"):
             FTMapConfig.from_dict({"num_rotations": 0})
+
+
+def migrated_config(**overrides):
+    """The small workload the 1.9.0 migration tests map."""
+    base = dict(
+        probe_names=("ethanol", "acetone"),
+        num_rotations=4,
+        receptor_grid=24,
+        grid_spacing=1.25,
+        minimize_top=2,
+        minimizer_iterations=4,
+        minimize_engine="serial",
+        cache_policy="off",
+    )
+    base.update(overrides)
+    return FTMapConfig(**base)
+
+
+def config_doc_1_9():
+    """A config document as 1.9.0 wrote it, retired names included."""
+    doc = migrated_config().to_dict()
+    doc.update(probe_workers=2, docking_workers=2, minimize_engine="multiprocess")
+    return doc
+
+
+class TestConfigMigration:
+    """Documents written by 1.9.0 still load, and map like ``serial``."""
+
+    def test_retired_fields_and_backend_migrate(self):
+        cfg = FTMapConfig.from_dict(json.loads(json.dumps(config_doc_1_9())))
+        assert cfg == migrated_config()
+        assert "probe_workers" not in cfg.to_dict()
+        assert "docking_workers" not in cfg.to_dict()
+        assert FTMapConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_map_request_migrates_its_config(self):
+        doc = {"receptor": "a" * 64, "config": config_doc_1_9()}
+        request = MapRequest.from_dict(json.loads(json.dumps(doc)))
+        assert request.config == migrated_config()
+        assert MapRequest.from_dict(request.to_dict()) == request
+
+    def test_migrated_config_maps_bitwise_like_serial(self):
+        receptor = synthetic_protein(n_residues=30, seed=3)
+        migrated = FTMapConfig.from_dict(config_doc_1_9())
+        with FTMapService() as service:
+            # probe_workers=2 selected process streaming in 1.9.0.
+            old = service.map(receptor, migrated, streaming="process").result
+            new = service.map(
+                receptor, migrated_config(), streaming="sequential"
+            ).result
+        assert set(old.probe_results) == set(new.probe_results)
+        for name, pr in new.probe_results.items():
+            assert old.probe_results[name].minimize_backend == "serial"
+            assert np.array_equal(
+                old.probe_results[name].minimized_energies, pr.minimized_energies
+            )
+            assert np.array_equal(
+                old.probe_results[name].minimized_centers, pr.minimized_centers
+            )
+        assert [s.to_dict() for s in old.sites] == [s.to_dict() for s in new.sites]
+
+    def test_unknown_field_still_rejected(self):
+        doc = config_doc_1_9()
+        doc["warp_factor"] = 9
+        with pytest.raises(ValueError, match="warp_factor"):
+            FTMapConfig.from_dict(doc)
+        with pytest.raises(InvalidRequestError, match="warp_factor"):
+            MapRequest.from_dict({"receptor": "a" * 64, "config": doc})
+
+    def test_constructor_rejects_retired_names(self):
+        with pytest.raises(TypeError, match="probe_workers"):
+            FTMapConfig(probe_workers=2)
+        with pytest.raises(TypeError, match="docking_workers"):
+            FTMapConfig(docking_workers=2)
+        with pytest.raises(ValueError, match="multiprocess"):
+            FTMapConfig(minimize_engine="multiprocess")
 
 
 class TestMapRequest:

@@ -1,7 +1,6 @@
 """FTMapService lifecycle: jobs, streaming modes, cache-aware serving."""
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,9 @@ from repro.api import (
     MapRequest,
 )
 from repro.cache import CacheManager, reset_cache_registry
-from repro.mapping.ftmap import FTMapConfig, run_ftmap
+from repro.mapping.consensus import consensus_sites
+from repro.mapping.ftmap import FTMapConfig, FTMapResult, map_probe
+from repro.structure import build_probe
 from repro.structure import synthetic_protein
 from repro.util.parallel import usable_cpus
 from repro.workers import shm_bytes_in_use
@@ -75,14 +76,24 @@ def assert_bitwise_equal(result_a, result_b):
 
 
 class TestSynchronousMap:
-    def test_map_matches_legacy_run_ftmap_bitwise(self, protein):
+    def test_map_matches_stage_functions_bitwise(self, protein):
+        """The service adds scheduling, never numerics: its result equals
+        the public stage functions composed by hand."""
         cfg = tiny_config()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_ftmap(protein, cfg)
+        probe_results = {
+            name: map_probe(protein, name, build_probe(name), cfg)
+            for name in cfg.probe_names
+        }
+        by_hand = FTMapResult(
+            probe_results=probe_results,
+            sites=consensus_sites(
+                {name: pr.clusters for name, pr in probe_results.items()},
+                radius=cfg.consensus_radius,
+            ),
+        )
         with FTMapService() as service:
             mapped = service.map(protein, cfg)
-        assert_bitwise_equal(legacy, mapped.result)
+        assert_bitwise_equal(by_hand, mapped.result)
 
     def test_pipelined_matches_sequential_bitwise(self, protein):
         cfg = tiny_config(probe_names=("ethanol", "acetone", "urea"))
@@ -113,22 +124,19 @@ class TestSynchronousMap:
         # Every leased shared-memory segment was unlinked again.
         assert shm_bytes_in_use() == 0
 
-    def test_probe_workers_selects_process_streaming(self, protein):
-        cfg = tiny_config(probe_workers=2)
-        with FTMapService() as service:
+    def test_service_default_streaming_selects_process(self, protein):
+        cfg = tiny_config()
+        with FTMapService(streaming="process") as service:
             mapped = service.map(protein, cfg)
+            seq = service.map(protein, cfg, streaming="sequential")
         assert mapped.streaming == "process"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_ftmap(protein, cfg)
-        assert_bitwise_equal(legacy, mapped.result)
+        assert_bitwise_equal(seq.result, mapped.result)
 
-    def test_explicit_streaming_wins_over_probe_workers(self, protein):
-        """Regression: a client's explicit streaming mode must never be
-        silently overridden by config-driven selection (probe_workers
-        used to force the legacy fork fan-out over it)."""
-        cfg = tiny_config(probe_workers=2)
-        with FTMapService() as service:
+    def test_explicit_streaming_wins_over_service_default(self, protein):
+        """A client's explicit streaming mode is never overridden by the
+        service's default."""
+        cfg = tiny_config()
+        with FTMapService(streaming="process") as service:
             seq = service.map(protein, cfg, streaming="sequential")
             pipe = service.map(protein, cfg, streaming="pipeline")
         assert seq.streaming == "sequential"
@@ -138,9 +146,11 @@ class TestSynchronousMap:
     def test_process_mode_job_emits_stage_events(self, protein):
         """Process streaming keeps the thread path's per-stage progress
         contract: dock/minimize/cluster per probe, consensus last."""
-        cfg = tiny_config(probe_workers=2)
+        cfg = tiny_config()
         with FTMapService() as service:
-            handle = service.submit(MapRequest(receptor=protein, config=cfg))
+            handle = service.submit(
+                MapRequest(receptor=protein, config=cfg, streaming="process")
+            )
             handle.result(timeout=300)
         stages = [(e.stage, e.probe) for e in handle.events()]
         for probe in cfg.probe_names:
@@ -270,9 +280,7 @@ class TestJobs:
     def test_process_job_cancels_and_unlinks_shared_memory(self, protein):
         """Cancelling a process-streamed job stops it cooperatively and
         unlinks every leased shared-memory segment deterministically."""
-        cfg = tiny_config(
-            probe_names=("ethanol", "acetone", "urea"), probe_workers=2
-        )
+        cfg = tiny_config(probe_names=("ethanol", "acetone", "urea"))
         cancelled_from = []
 
         def cancel_after_first_dock(event):
@@ -282,7 +290,9 @@ class TestJobs:
 
         service = FTMapService(on_event=cancel_after_first_dock)
         with service:
-            handle = service.submit(MapRequest(receptor=protein, config=cfg))
+            handle = service.submit(
+                MapRequest(receptor=protein, config=cfg, streaming="process")
+            )
             with pytest.raises(JobCancelled):
                 handle.result(timeout=300)
             assert handle.status() == JOB_CANCELLED
@@ -391,8 +401,8 @@ class TestCacheAwareServing:
 
     def test_injected_cache_wins_over_request_policy(self, protein):
         """An explicitly injected manager is pinned: every request uses
-        it regardless of its config's cache fields — the contract the
-        legacy run_ftmap/run_sweep ``cache=`` arguments rely on."""
+        it regardless of its config's cache fields — the contract
+        run_sweep's ``cache=`` argument relies on."""
         pinned = CacheManager(policy="memory")
         cfg = tiny_config(
             probe_names=("ethanol",), cache_policy="memory",
@@ -404,14 +414,13 @@ class TestCacheAwareServing:
         assert mapped.cache_stats is not None
         assert mapped.cache_stats.lookups == pinned.stats.lookups
 
-    def test_legacy_explicit_cache_argument_respected(self, protein):
-        """run_ftmap(cache=manager) must use that manager even when the
-        config names its own cache policy (pre-service behavior)."""
+    def test_explicit_cache_argument_respected(self, protein):
+        """FTMapService(cache=manager) fills that manager even when the
+        config names its own cache policy."""
         manager = CacheManager(policy="memory")
         cfg = tiny_config(probe_names=("ethanol",), cache_policy="memory")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = run_ftmap(protein, cfg, cache=manager)
+        with FTMapService(config=cfg, cache=manager) as service:
+            result = service.map(protein, cfg).result
         assert manager.stats.puts > 0
         assert result.cache_stats is not None
         assert result.cache_stats.puts == manager.stats.puts
@@ -496,31 +505,52 @@ class TestServiceValidation:
         with pytest.raises(ValueError, match="streaming"):
             FTMapService(streaming="warp")
 
-    def test_run_ftmap_warns_deprecation(self, protein):
-        with pytest.warns(DeprecationWarning, match="FTMapService"):
-            run_ftmap(protein, tiny_config(probe_names=("ethanol",)))
+
+def map_from_two_threads(service, protein, cfg, streaming):
+    """Run two synchronous ``map()`` calls concurrently under a deadline."""
+    results, errors = {}, {}
+
+    def call(tag):
+        try:
+            results[tag] = service.map(protein, cfg, streaming=streaming)
+        except BaseException as exc:  # surfaced by the asserts below
+            errors[tag] = exc
+
+    threads = [threading.Thread(target=call, args=(t,)) for t in ("a", "b")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
+    assert not any(t.is_alive() for t in threads), "map() call hung"
+    assert errors == {}
+    assert set(results) == {"a", "b"}
+    return results
 
 
 class TestThreadSafetyOfScopes:
     def test_map_from_two_caller_threads(self, protein):
         """Synchronous map() from concurrent caller threads: each result
-        still carries its own request-scoped stats."""
+        still carries its own request-scoped stats.  Pinned to thread
+        streaming, whose stats scopes this is about."""
         cfg = tiny_config()
         manager = CacheManager(policy="memory")
-        results = {}
         with FTMapService(cache=manager) as service:
-            service.map(protein, cfg)                 # warm the cache
-
-            def call(tag):
-                results[tag] = service.map(protein, cfg)
-
-            threads = [
-                threading.Thread(target=call, args=(t,)) for t in ("a", "b")
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            service.map(protein, cfg, streaming="pipeline")   # warm the cache
+            results = map_from_two_threads(service, protein, cfg, "pipeline")
         for mapped in results.values():
             assert mapped.cache_stats.misses == 0
             assert mapped.cache_stats.hits == 2 * len(cfg.probe_names)
+
+    def test_concurrent_process_maps_get_distinct_request_ids(self, protein):
+        """Regression: every synchronous map() used the request id "sync",
+        so two concurrent process-streamed calls reserved the same
+        shared-memory segment names and both failed."""
+        cfg = tiny_config(cache_policy="off")
+        with FTMapService(cache=CacheManager(policy="off")) as service:
+            seq = service.map(protein, cfg, streaming="sequential")
+            results = map_from_two_threads(service, protein, cfg, "process")
+        assert results["a"].request_id != results["b"].request_id
+        for mapped in results.values():
+            assert mapped.streaming == "process"
+            assert_bitwise_equal(seq.result, mapped.result)
+        assert shm_bytes_in_use() == 0

@@ -1,6 +1,7 @@
 """Storage tiers: LRU byte budget, disk integrity, concurrent writers."""
 
 import json
+import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from repro.cache.store import (
     PickleCodec,
     estimate_nbytes,
 )
-from repro.util.parallel import parallel_map
 
 
 class TestCodecs:
@@ -177,7 +177,9 @@ class TestConcurrentWriters:
         workers caching the same receptor artifact) must leave a complete,
         checksum-valid entry — os.replace makes each write atomic."""
         _write_same_key.root = str(tmp_path)
-        results = parallel_map(_write_same_key, [1, 2], processes=2)
+        # Fork: the workers inherit the task's root attribute.
+        with mp.get_context("fork").Pool(processes=2) as pool:
+            results = pool.map(_write_same_key, [1, 2])
         assert sorted(results) == [1, 2]
         store = DiskStore(tmp_path)
         value = store.get("race/samekey")

@@ -5,6 +5,8 @@ correlation pose-for-pose — on cubic and non-cubic grids, and for batch
 sizes that do not divide the rotation count.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -239,31 +241,9 @@ class TestBatchedPiperRuns:
                 (p.rotation_index, p.translation) for p in p_serial
             ]
 
-    def test_executor_gridding_matches_serial(self, small_protein, ethanol):
-        from repro.util.parallel import RotationExecutor
-
-        cfg = PiperConfig(
-            num_rotations=4,
-            receptor_grid=32,
-            probe_grid=4,
-            grid_spacing=1.25,
-            engine="batched-fft",
-        )
-        docker = PiperDocker(small_protein, ethanol, cfg)
-        p_serial = docker.run(batch_size=2)
-        p_threaded = docker.run(
-            batch_size=2, executor=RotationExecutor("thread", workers=2)
-        )
-        assert [(p.rotation_index, p.translation, p.score) for p in p_serial] == [
-            (p.rotation_index, p.translation, p.score) for p in p_threaded
-        ]
-
-    def test_process_executor_with_warm_cache(self, small_protein, ethanol):
-        """Engines stay picklable after their spectra cache warms up, so a
-        process executor can grid later chunks (weakrefs don't pickle; the
-        cache ships empty instead)."""
-        from repro.util.parallel import RotationExecutor
-
+    def test_engine_pickles_with_warm_cache(self, small_protein, ethanol):
+        """Engines stay picklable after their spectra cache warms up
+        (the cache ships as configuration, not as entries)."""
         cfg = PiperConfig(
             num_rotations=4,
             receptor_grid=32,
@@ -273,7 +253,8 @@ class TestBatchedPiperRuns:
         )
         docker = PiperDocker(small_protein, ethanol, cfg)
         ref = docker.run(batch_size=2)
-        got = docker.run(batch_size=2, executor=RotationExecutor("process", workers=2))
+        docker.engine = pickle.loads(pickle.dumps(docker.engine))
+        got = docker.run(batch_size=2)
         assert [(p.rotation_index, p.translation) for p in got] == [
             (p.rotation_index, p.translation) for p in ref
         ]

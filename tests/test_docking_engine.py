@@ -138,16 +138,15 @@ class TestDockingEngineFacade:
         with pytest.raises(ValueError, match="unknown backend"):
             DockingEngine(small_protein, ethanol, cfg, backend="fpga")
 
-    def test_workers_run_matches_serial(self, small_protein, ethanol, cfg):
-        serial = DockingEngine(
-            small_protein, ethanol, cfg, backend="batched-fft"
-        ).run()
-        threaded = DockingEngine(
-            small_protein, ethanol, cfg, backend="batched-fft", workers=2
-        ).run()
+    def test_workers_fan_out_rejected(self, small_protein, ethanol, cfg):
+        """Docking runs in the calling thread; only ``workers=1`` is kept."""
+        serial = DockingEngine(small_protein, ethanol, cfg).run()
+        one = DockingEngine(small_protein, ethanol, cfg, workers=1).run()
         assert [(p.rotation_index, p.translation) for p in serial] == [
-            (p.rotation_index, p.translation) for p in threaded
+            (p.rotation_index, p.translation) for p in one
         ]
+        with pytest.raises(ValueError, match="calling thread"):
+            DockingEngine(small_protein, ethanol, cfg, workers=2)
 
     def test_probe_coords_passthrough(self, small_protein, ethanol, cfg):
         engine = DockingEngine(small_protein, ethanol, cfg)
@@ -172,7 +171,8 @@ class TestAutoEngineInPiper:
         assert len(poses) == 3 * cfg.poses_per_rotation
 
     def test_ftmap_through_facade(self, small_protein):
-        from repro.mapping.ftmap import FTMapConfig, run_ftmap
+        from repro.api import FTMapService
+        from repro.mapping.ftmap import FTMapConfig
 
         cfg = FTMapConfig(
             probe_names=("ethanol",),
@@ -183,6 +183,7 @@ class TestAutoEngineInPiper:
             minimizer_iterations=3,
             engine="batched-fft",
         )
-        result = run_ftmap(small_protein, cfg)
+        with FTMapService() as service:
+            result = service.map(small_protein, cfg).result
         assert "ethanol" in result.probe_results
         assert result.probe_results["ethanol"].docked_poses

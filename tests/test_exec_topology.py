@@ -155,4 +155,4 @@ class TestTopologyAwareMinimizeSelection:
             1, FTMAP_PAIRS, FTMAP_ATOMS, 60,
             topology=DeviceTopology(num_devices=4),
         )
-        assert d.backend not in ("batched", "multiprocess", "multi-gpu-sim")
+        assert d.backend not in ("batched", "multi-gpu-sim")

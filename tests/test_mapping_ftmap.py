@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.api import FTMapService
 from repro.mapping.ftmap import (
     FTMapConfig,
     cluster_probe,
     dock_probe,
     map_probe,
     minimize_poses,
-    run_ftmap,
 )
 from repro.mapping.report import mapping_report
 from repro.structure import build_probe, synthetic_protein
+
+
+def map_result(receptor, config, streaming=None):
+    """Map on a fresh service that resolves the config's own cache."""
+    with FTMapService(config=config) as service:
+        return service.map(receptor, config, streaming=streaming).result
 
 
 @pytest.fixture(scope="module")
@@ -34,10 +40,10 @@ def protein():
 
 @pytest.fixture(scope="module")
 def result(protein, tiny_config):
-    return run_ftmap(protein, tiny_config)
+    return map_result(protein, tiny_config)
 
 
-class TestRunFTMap:
+class TestEndToEndMap:
     def test_all_probes_processed(self, result):
         assert set(result.probe_results) == {"ethanol", "acetone"}
 
@@ -85,7 +91,7 @@ class TestRunFTMap:
     def test_backend_provenance_recorded(self, result):
         for pr in result.probe_results.values():
             assert pr.docking_backend == "direct"
-            assert pr.minimize_backend in ("serial", "batched", "multiprocess")
+            assert pr.minimize_backend in ("serial", "batched")
 
 
 class TestStagedPipeline:
@@ -139,7 +145,7 @@ class TestZeroPoseProbe:
         assert backend == ""
         assert cluster_probe(centers, energies, tiny_config) == []
 
-    def test_run_ftmap_with_poseless_probe(self, protein, tiny_config, monkeypatch):
+    def test_map_with_poseless_probe(self, protein, tiny_config, monkeypatch):
         import repro.mapping.ftmap as ftmap_mod
 
         real_dock = ftmap_mod.dock_probe
@@ -151,7 +157,8 @@ class TestZeroPoseProbe:
             return run
 
         monkeypatch.setattr(ftmap_mod, "dock_probe", no_poses_for_acetone)
-        result = ftmap_mod.run_ftmap(protein, tiny_config)
+        # Sequential: the patched stage runs in this process.
+        result = map_result(protein, tiny_config, streaming="sequential")
         empty = result.probe_results["acetone"]
         assert empty.minimized == []
         assert empty.minimized_centers.shape == (0, 3)
@@ -172,7 +179,7 @@ class TestEngineRouting:
         assert FTMapConfig(engine="batched-fft").piper_config().engine == "batched-fft"
         assert FTMapConfig(engine="auto").piper_config().engine == "auto"
 
-    def test_run_ftmap_routes_gpu_sim_through_facade(self, protein):
+    def test_map_routes_gpu_sim_through_facade(self, protein):
         cfg = FTMapConfig(
             probe_names=("ethanol",),
             num_rotations=2,
@@ -181,48 +188,28 @@ class TestEngineRouting:
             minimizer_iterations=5,
             engine="gpu-sim",
         )
-        result = run_ftmap(protein, cfg)
+        result = map_result(protein, cfg)
         pr = result.probe_results["ethanol"]
         assert pr.docking_backend == "gpu-sim"
         assert pr.docked_poses
 
 
-class TestProbeWorkers:
-    def test_nested_fanout_degrades_to_serial(self, protein):
-        """A multiprocess minimization stage inside a probe-streaming worker
-        may not fork grandchildren (daemonic pool workers); the nested
-        parallel_map must fall back to serial instead of raising."""
-        cfg = FTMapConfig(
-            probe_names=("ethanol", "acetone"),
-            num_rotations=2,
-            receptor_grid=24,
-            minimize_top=2,
-            minimizer_iterations=4,
-            minimize_engine="multiprocess",
-            probe_workers=2,
-        )
-        result = run_ftmap(protein, cfg)
-        assert set(result.probe_results) == {"ethanol", "acetone"}
-        for pr in result.probe_results.values():
-            assert pr.minimize_backend == "multiprocess"
-            assert len(pr.minimized) == 2
-
+class TestProcessStreaming:
     def test_probe_streaming_matches_serial(self, protein):
-        cfg = dict(
+        cfg = FTMapConfig(
             probe_names=("ethanol", "acetone"),
             num_rotations=2,
             receptor_grid=24,
             minimize_top=2,
             minimizer_iterations=5,
         )
-        serial = run_ftmap(protein, FTMapConfig(**cfg))
-        streamed = run_ftmap(protein, FTMapConfig(**cfg, probe_workers=2))
+        serial = map_result(protein, cfg, streaming="sequential")
+        streamed = map_result(protein, cfg, streaming="process")
         assert set(streamed.probe_results) == set(serial.probe_results)
         for name in serial.probe_results:
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 streamed.probe_results[name].minimized_energies,
                 serial.probe_results[name].minimized_energies,
-                rtol=1e-6,
             )
         assert len(streamed.sites) == len(serial.sites)
 
@@ -272,8 +259,8 @@ class TestConfigValidation:
             FTMapConfig(cache_policy="turbo")
 
     def test_bad_optional_counts_rejected(self):
-        with pytest.raises(ValueError, match="probe_workers"):
-            FTMapConfig(probe_workers=0)
+        with pytest.raises(ValueError, match="minimize_devices"):
+            FTMapConfig(minimize_devices=0)
         with pytest.raises(ValueError, match="batch_size"):
             FTMapConfig(batch_size=0)
         with pytest.raises(ValueError, match="cache_memory_bytes"):
@@ -284,12 +271,12 @@ class TestConfigValidation:
             FTMapConfig(probe_names=())
 
     def test_valid_config_accepted(self):
-        cfg = FTMapConfig(cache_policy="memory", probe_workers=2)
+        cfg = FTMapConfig(cache_policy="memory", minimize_devices=2)
         assert cfg.cache_policy == "memory"
 
 
 class TestArtifactCache:
-    """run_ftmap x repro.cache: reuse across repeat mappings."""
+    """FTMapService x repro.cache: reuse across repeat mappings."""
 
     @pytest.fixture(autouse=True)
     def _fresh_registry(self):
@@ -315,9 +302,9 @@ class TestArtifactCache:
     def test_cache_off_matches_cache_on_bitwise(self, protein):
         """The artifact cache must be invisible in the outputs: cache-off,
         cold-cached and warm-cached runs agree bitwise."""
-        r_off = run_ftmap(protein, self._config(cache_policy="off"))
-        r_cold = run_ftmap(protein, self._config(cache_policy="memory"))
-        r_warm = run_ftmap(protein, self._config(cache_policy="memory"))
+        r_off = map_result(protein, self._config(cache_policy="off"))
+        r_cold = map_result(protein, self._config(cache_policy="memory"))
+        r_warm = map_result(protein, self._config(cache_policy="memory"))
         assert r_off.cache_stats is None
         for other in (r_cold, r_warm):
             for name, pr in r_off.probe_results.items():
@@ -336,8 +323,8 @@ class TestArtifactCache:
         caches: the warm run does exactly two lookups per probe, both
         hits, and recomputes nothing."""
         cfg = self._config(cache_policy="memory")
-        cold = run_ftmap(protein, cfg)
-        warm = run_ftmap(protein, cfg)
+        cold = map_result(protein, cfg)
+        warm = map_result(protein, cfg)
         assert cold.cache_stats.misses >= 4        # grids+spectra+dock+minimize
         assert warm.cache_stats.misses == 0
         assert warm.cache_stats.hits == 2          # one probe: dock + minimize
@@ -350,17 +337,17 @@ class TestArtifactCache:
         """A *rebuilt* receptor with identical content reuses artifacts —
         the content-addressed property the id()-keyed cache lacked."""
         cfg = self._config(cache_policy="memory")
-        run_ftmap(protein, cfg)
+        map_result(protein, cfg)
         rebuilt = synthetic_protein(n_residues=60, seed=3)
         assert rebuilt is not protein
-        warm = run_ftmap(rebuilt, cfg)
+        warm = map_result(rebuilt, cfg)
         assert warm.cache_stats.hits == 2          # dock + minimized ensemble
         assert warm.cache_stats.misses == 0
 
     def test_different_workload_misses(self, protein):
         """Any workload-relevant field change re-docks instead of aliasing."""
-        run_ftmap(protein, self._config(cache_policy="memory"))
-        bumped = run_ftmap(
+        map_result(protein, self._config(cache_policy="memory"))
+        bumped = map_result(
             protein, self._config(cache_policy="memory", num_rotations=6)
         )
         assert bumped.cache_stats.misses >= 1      # dock result re-computed
@@ -373,10 +360,10 @@ class TestArtifactCache:
         from repro.cache import reset_cache_registry
 
         cfg = self._config(cache_policy="disk", cache_dir=str(tmp_path))
-        cold = run_ftmap(protein, cfg)
+        cold = map_result(protein, cfg)
         assert cold.cache_stats.misses >= 3
         reset_cache_registry()                     # simulate a new process
-        warm = run_ftmap(protein, cfg)
+        warm = map_result(protein, cfg)
         assert warm.cache_stats.disk_hits == 2     # dock + minimized ensemble
         assert warm.cache_stats.misses == 0
 

@@ -99,34 +99,29 @@ class TestRunSweep:
     def test_sweep_results_match_standalone_runs(self, protein):
         """Cache reuse must not change outcomes: a swept variant's sites
         equal the same config mapped standalone without any cache."""
-        from repro.mapping.ftmap import run_ftmap
+        from repro.api import FTMapService
 
         configs = sweep_grid(tiny_config(), minimize_top=(2, 3))
         report = run_sweep(protein, configs)
         for run in report.runs:
-            solo = run_ftmap(
-                protein, run.config, cache=CacheManager(policy="off")
-            )
+            with FTMapService(cache=CacheManager(policy="off")) as service:
+                solo = service.map(protein, run.config).result
             assert len(solo.sites) == len(run.result.sites)
             for a, b in zip(solo.sites, run.result.sites):
                 assert np.allclose(a.center, b.center)
 
-    def test_parallel_sweep_requires_disk_tier(self, protein):
-        configs = sweep_grid(tiny_config(), cluster_radius=(3.0, 4.0))
-        with pytest.raises(ValueError, match="disk"):
-            run_sweep(protein, configs, workers=2)
-
-    def test_parallel_sweep_with_disk_cache(self, protein, tmp_path):
-        """Forked sweep workers share artifacts through the filesystem."""
+    def test_sweep_with_disk_cache(self, protein, tmp_path):
+        """Sweep variants share artifacts through the disk tier."""
         configs = sweep_grid(
             tiny_config(cache_policy="disk", cache_dir=str(tmp_path)),
             cluster_radius=(3.0, 4.0),
         )
-        report = run_sweep(protein, configs, workers=2)
+        report = run_sweep(protein, configs)
         assert len(report.runs) == 2
         assert [r.config.cluster_radius for r in report.runs] == [3.0, 4.0]
         for run in report.runs:
             assert run.result.sites
+        assert report.runs[1].cache_stats.misses == 0
         # The disk tier now holds the shared artifacts.
         manager = CacheManager(policy="disk", directory=tmp_path)
         assert len(manager.disk) > 0

@@ -81,27 +81,10 @@ class TestBackends:
                 movable=masks,
                 config=config,
                 backend=backend,
-                workers=2,
             ).run_detailed()
             assert len(run.results) == N_POSES
             for ref, got in zip(serial_run.results, run.results):
                 assert got.energy == pytest.approx(ref.energy, rel=5e-3)
-
-    def test_multiprocess_matches_serial_exactly(
-        self, complex_mol, ensemble, config, serial_run
-    ):
-        stack, masks = ensemble
-        run = MinimizationEngine(
-            complex_mol,
-            stack,
-            movable=masks,
-            config=config,
-            backend="multiprocess",
-            workers=2,
-        ).run_detailed()
-        for ref, got in zip(serial_run.results, run.results):
-            assert got.energy == ref.energy
-            np.testing.assert_array_equal(got.coords, ref.coords)
 
     def test_batched_double_matches_serial_exactly(
         self, complex_mol, ensemble, config, serial_run
@@ -159,7 +142,7 @@ class TestAutoSelection:
         eng = MinimizationEngine(
             complex_mol, stack, movable=masks, config=config, backend="auto"
         )
-        assert eng.backend in ("serial", "batched", "multiprocess")
+        assert eng.backend in ("serial", "batched")
         assert "gpu-sim" not in eng.decision.predictions
 
     def test_auto_picks_batched_for_ensembles(self, complex_mol, ensemble, config):
@@ -190,6 +173,6 @@ class TestAutoSelection:
         eng = MinimizationEngine(
             complex_mol, stack, movable=masks, config=config
         )
-        assert {"serial", "batched", "multiprocess"} <= set(
+        assert {"serial", "batched"} <= set(
             eng.decision.predictions
         )

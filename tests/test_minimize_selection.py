@@ -19,7 +19,7 @@ FTMAP_ATOMS = 2_200
 class TestPredictions:
     def test_cpu_backends_always_predicted(self):
         times = predict_minimize_times(12, FTMAP_PAIRS, FTMAP_ATOMS, 60)
-        assert set(times) == {"serial", "batched", "multiprocess"}
+        assert set(times) == {"serial", "batched"}
         assert all(v > 0 for v in times.values())
 
     def test_gpu_needs_device_spec(self):
@@ -50,15 +50,9 @@ class TestSelection:
         assert d.batch_size == 1
 
     def test_ensemble_selects_batched(self):
-        d = select_minimize_backend(12, FTMAP_PAIRS, FTMAP_ATOMS, 60, workers=1)
+        d = select_minimize_backend(12, FTMAP_PAIRS, FTMAP_ATOMS, 60)
         assert d.backend == "batched"
         assert 2 <= d.batch_size <= 12
-
-    def test_huge_pairs_select_multiprocess_on_multicore(self):
-        """Array arithmetic dominates at very large pair counts — cores win."""
-        d = select_minimize_backend(16, 400_000, 40_000, 60, workers=8)
-        assert d.backend == "multiprocess"
-        assert d.workers == 8
 
     def test_gpu_included_only_on_request(self):
         plain = select_minimize_backend(12, FTMAP_PAIRS, FTMAP_ATOMS, 60)
@@ -78,7 +72,7 @@ class TestSelection:
         d = select_minimize_backend(
             12, FTMAP_PAIRS, FTMAP_ATOMS, 60, include_gpu=True
         )
-        assert {"serial", "batched", "multiprocess", "gpu-sim"} == set(d.predictions)
+        assert {"serial", "batched", "gpu-sim"} == set(d.predictions)
         assert d.predicted_s == d.predictions[d.backend]
 
 
@@ -92,7 +86,7 @@ class TestBatchLimit:
     def test_default_batch_respects_budget(self):
         # Paper-scale ensemble (2000 conformations): batch clamps to the
         # smaller of the default cap and the pair budget.
-        d = select_minimize_backend(2000, FTMAP_PAIRS, FTMAP_ATOMS, 60, workers=1)
+        d = select_minimize_backend(2000, FTMAP_PAIRS, FTMAP_ATOMS, 60)
         assert d.batch_size <= DEFAULT_MINIMIZE_BATCH
         assert d.batch_size * FTMAP_PAIRS <= ENSEMBLE_PAIR_BUDGET
 
@@ -106,13 +100,3 @@ class TestHostModel:
         assert twelve < 12 * one
         # ... but more than one (array work is not free).
         assert twelve > one
-
-    def test_multiprocess_includes_fork_cost(self):
-        cpu = CpuModel()
-        serial = cpu.host_minimization_phase_s(12, 60, FTMAP_PAIRS, FTMAP_ATOMS)
-        multi = cpu.multiprocess_minimization_phase_s(
-            12, 60, FTMAP_PAIRS, FTMAP_ATOMS, workers=4
-        )
-        ideal = serial / (4 * cpu.spec.parallel_efficiency)
-        assert multi > ideal   # fork startup is on the bill
-        assert multi < serial

@@ -446,16 +446,6 @@ class TestRunLoggerMigration:
         assert "== Docking ==" in out and "rotations gridded" in out
         assert len(log.records) == 3
 
-    def test_util_runlog_shim_warns_but_works(self):
-        from repro.util.runlog import RunLogger as ShimLogger
-
-        stream = io.StringIO()
-        with pytest.warns(DeprecationWarning, match="repro.obs.logging"):
-            log = ShimLogger(stream=stream)
-        assert isinstance(log, RunLogger)
-        log.step("still works")
-        assert "still works" in stream.getvalue()
-
     def test_util_package_reexport_is_the_obs_class(self):
         from repro.util import RunLogger as UtilLogger
 

@@ -1,56 +1,12 @@
-"""Tests for utilities: parallel fan-out, validation, logging."""
+"""Tests for utilities: validation, logging."""
 
 import io
 
 import numpy as np
 import pytest
 
-from repro.util.parallel import multicore_dock_rotations, parallel_map
-from repro.util.runlog import RunLogger
+from repro.obs.logging import RunLogger
 from repro.util.validation import require_in_range, require_positive, require_shape
-
-
-class TestParallelMap:
-    def test_serial_fallback(self):
-        assert parallel_map(lambda x: x * 2, [1, 2, 3], processes=1) == [2, 4, 6]
-
-    def test_order_preserved_parallel(self):
-        out = parallel_map(_square, list(range(20)), processes=2)
-        assert out == [x * x for x in range(20)]
-
-    def test_single_item(self):
-        assert parallel_map(_square, [7], processes=4) == [49]
-
-
-def _square(x):  # module-level for pickling
-    return x * x
-
-
-class TestMulticoreDocking:
-    def test_matches_serial(self, small_protein, ethanol):
-        from repro.docking import PiperConfig, PiperDocker
-
-        cfg = PiperConfig(
-            num_rotations=4, receptor_grid=32, probe_grid=4, grid_spacing=1.25
-        )
-        serial = PiperDocker(small_protein, ethanol, cfg).run([0, 1, 2, 3])
-        parallel = multicore_dock_rotations(
-            small_protein, ethanol, cfg, [0, 1, 2, 3], processes=2
-        )
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a.translation == b.translation
-            assert a.score == pytest.approx(b.score)
-            assert a.rotation_index == b.rotation_index
-
-    def test_single_process_path(self, small_protein, ethanol):
-        from repro.docking import PiperConfig
-
-        cfg = PiperConfig(
-            num_rotations=2, receptor_grid=32, probe_grid=4, grid_spacing=1.25
-        )
-        poses = multicore_dock_rotations(small_protein, ethanol, cfg, [0, 1], processes=1)
-        assert len(poses) == 8
 
 
 class TestValidation:
