@@ -1,28 +1,32 @@
 """Process worker-pool streaming gate (the GIL-independence PR's artifact).
 
-``streaming="process"`` runs the dock and refine stages in *worker
-processes* (:class:`repro.workers.pool.ProcessWorkerPool`), so on a
-GIL-bound workload the pipeline schedule is realised with true
-parallelism: while probe ``k`` minimizes in one process, probe ``k+1``
-docks in another — no interpreter lock couples them.  The thread pipeline
-(``streaming="pipeline"``) runs the identical schedule but its stages
-contend for one GIL, so a Python-heavy (serial-minimizer) workload gains
-little from it.  Two hard assertions:
+``streaming="process"`` maps whole probes in *worker processes*
+(:class:`repro.workers.pool.ProcessWorkerPool`): each probe's dock →
+minimize → cluster is one task, and a pool of ``min(probes, usable
+CPUs)`` workers maps that many probes at once with true parallelism — no
+interpreter lock couples them.  The thread pipeline
+(``streaming="pipeline"``) overlaps probe ``k+1``'s docking with probe
+``k``'s minimization, but its stages contend for one GIL, so a
+Python-heavy (serial-minimizer) workload gains little from it.  Two hard
+assertions:
 
 * **schedule speedup >= 1.4x** — per-probe stage times are *measured* on
   the real stage functions, then the sequential stage-loop sum is
   compared against the two-stage pipeline schedule's makespan
-  (:func:`~repro.perf.speedup.pipeline_makespan`) — the schedule the
-  worker pool realises GIL-free.  Deterministic on any host; the gate.
+  (:func:`~repro.perf.speedup.pipeline_makespan`).  That schedule is a
+  conservative model of two probe-task workers: its makespan is at least
+  the larger stage total, while two workers mapping whole probes need
+  about half the sum.  Deterministic on any host; the gate.
 * **wall clock >= 1.4x over the thread pipeline** — the same requests
   through ``service.map`` thread-pipelined vs process-streamed, asserted
   only where worker processes can actually run in parallel (>= 2 usable
   CPUs; CI runners have them, single-core containers skip the wall-clock
   half, never the schedule half).
 
-Plus the invariant that makes process shipping deployable at all: the
+Plus the invariant that makes process streaming deployable at all: the
 process-streamed ``MapResult`` is bitwise-identical to the sequential
-one — pose ensembles cross shared memory, values never change.
+one — each ``ProbeResult`` comes back pickled over the worker's pipe,
+values never change.
 """
 
 import os
@@ -132,7 +136,7 @@ def test_process_overlap_speedup(print_comparison):
         t_proc = time.perf_counter() - t0
     wall_speedup = t_pipe / t_proc
     assert proc.streaming == "process"
-    assert shm_bytes_in_use() == 0        # every segment unlinked again
+    assert shm_bytes_in_use() == 0        # no shared-memory segment left
 
     cpus = _usable_cpus()
     print_comparison(
@@ -162,8 +166,9 @@ def test_process_overlap_speedup(print_comparison):
         ],
     )
 
-    # Gate 1 (every host): the pipeline schedule the worker pool realises
-    # GIL-free must clear the floor over the measured sequential loop.
+    # Gate 1 (every host): the two-stage pipeline schedule — a lower bound
+    # on what the probe-task pool realises GIL-free with two workers —
+    # must clear the floor over the measured sequential loop.
     assert schedule_speedup >= MIN_PROCESS_SPEEDUP
 
     # Gate 2 (hosts with real parallelism, e.g. the CI runners): the
@@ -171,7 +176,7 @@ def test_process_overlap_speedup(print_comparison):
     if cpus >= 2:
         assert wall_speedup >= MIN_PROCESS_SPEEDUP
 
-    # The invariant that makes process shipping deployable: identical
+    # The invariant that makes process streaming deployable: identical
     # outputs across sequential, thread-pipelined and process-streamed.
     out_seq = _probe_outputs(seq.result)
     for other in (pipe, proc):

@@ -58,14 +58,15 @@ class JobCancelled(RuntimeError):
 class ProgressEvent:
     """One stage boundary of one job: ``probe`` entered ``stage``.
 
-    ``stage`` is ``"dock"`` / ``"minimize"`` / ``"cluster"`` per probe
-    (``"dispatch"`` per probe in fork mode, whose in-stage progress lives
-    in the worker processes), then a single ``"consensus"`` (with
-    ``probe=""``) for the cross-probe stage.  ``index``/``total`` locate
-    the probe within the request, so a client can render per-stage
-    progress without knowing the pipeline.  A multi-device minimization
-    additionally emits ``"minimize-shard"`` per shard, where
-    ``index``/``total`` locate the *shard* within that probe's shard plan.
+    ``stage`` is ``"dock"`` / ``"minimize"`` / ``"cluster"`` per probe,
+    then a single ``"consensus"`` (with ``probe=""``) for the cross-probe
+    stage.  Under process streaming a probe's three events are emitted
+    when its worker task returns, stamped with the times the worker
+    measured.  ``index``/``total`` locate the probe within the request,
+    so a client can render per-stage progress without knowing the
+    pipeline.  A multi-device minimization additionally emits
+    ``"minimize-shard"`` per shard, where ``index``/``total`` locate the
+    *shard* within that probe's shard plan.
 
     Correlation fields (wire schema v2): ``trace_id``/``span_id`` tie a
     live event to the request's trace (empty strings when tracing is
@@ -255,8 +256,17 @@ class JobHandle:
             self._tracer = tracer if tracer is not None else NULL_TRACER
 
     def _emit(
-        self, stage: str, probe: str, index: int, total: int, span_id: str = ""
+        self,
+        stage: str,
+        probe: str,
+        index: int,
+        total: int,
+        span_id: str = "",
+        at_s: Optional[float] = None,
     ) -> None:
+        """Record one event; ``at_s`` is a ``perf_counter`` reading taken
+        elsewhere (a worker process's stage start), default now."""
+        at = time.perf_counter() if at_s is None else at_s
         event = ProgressEvent(
             job_id=self.job_id,
             stage=stage,
@@ -265,7 +275,7 @@ class JobHandle:
             total=total,
             trace_id=self._tracer.trace_id,
             span_id=span_id,
-            elapsed_s=time.perf_counter() - self._t0,
+            elapsed_s=at - self._t0,
         )
         with self._lock:
             self._events.append(event)

@@ -30,9 +30,8 @@ from repro.structure.molecule import Molecule
 __all__ = ["STREAMING_MODES", "MapRequest", "MapResult", "receptor_fingerprint"]
 
 #: How a request's probes may be scheduled: ``None`` (service default),
-#: the sequential stage loop, the thread-staged pipeline, or the
-#: process-staged pipeline (separate dock/minimize worker processes with
-#: shared-memory pose shipping — GIL-independent overlap).
+#: the sequential stage loop, the thread-staged pipeline, or whole probes
+#: mapped side by side in worker processes (GIL-independent).
 STREAMING_MODES = ("sequential", "pipeline", "process")
 
 

@@ -10,14 +10,16 @@ asynchronous jobs.
 
 Three properties define the serving layer:
 
-* **async probe streaming** — a multi-probe request is stage-pipelined:
-  probe ``k+1`` docks while probe ``k`` minimizes and clusters, either
-  on threads (:class:`~repro.util.parallel.PipelineExecutor`) or — the
-  default on multi-CPU hosts — in separate worker *processes*
-  (:mod:`repro.workers`), with pose ensembles shipped through shared
-  memory so the overlap is GIL-independent.  Scheduling changes, values
-  never do — both streamed results are bitwise-identical to the
-  sequential stage loop (tested).
+* **probe streaming** — a multi-probe request runs its probes
+  concurrently.  The default on multi-CPU hosts is ``"process"``: each
+  probe's dock → minimize → cluster is one task on a pool of worker
+  *processes* (:mod:`repro.workers`), one probe per CPU at a time, with
+  results returned over the workers' pipes.  ``"pipeline"`` stage-
+  pipelines on threads (:class:`~repro.util.parallel.PipelineExecutor`):
+  probe ``k+1`` docks while probe ``k`` minimizes and clusters.
+  Scheduling changes, values never do — every mode is bitwise-identical
+  to the sequential stage loop and emits the same progress events and
+  span names (tested).
 * **cache-aware serving** — receptors register once by content hash, and
   every artifact lookup is content-addressed, so concurrent requests
   against the same receptor share grids, spectra and whole dock results
@@ -44,7 +46,6 @@ import multiprocessing as mp
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace as _dc_replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.api.errors import (
@@ -77,6 +78,9 @@ __all__ = ["FTMapService"]
 #: Service-level scheduling defaults.
 _SERVICE_STREAMING = ("auto",) + STREAMING_MODES
 
+#: Seconds between cancel-flag checks while waiting on a worker task.
+_CANCEL_POLL_S = 0.05
+
 
 class FTMapService:
     """Session-scoped mapping service: submit requests, receive results.
@@ -99,8 +103,8 @@ class FTMapService:
         :meth:`map` calls run in the caller's thread and do not consume a
         worker.
     streaming:
-        Default probe scheduling: ``"auto"`` (process-stage the request
-        on multi-CPU hosts, thread-pipeline it otherwise),
+        Default probe scheduling: ``"auto"`` (one probe per worker
+        process on multi-CPU hosts, thread-pipelined otherwise),
         ``"process"``, ``"pipeline"``, or ``"sequential"``.
     on_event:
         Optional callback invoked with every :class:`ProgressEvent`
@@ -280,7 +284,7 @@ class FTMapService:
         and waiting, but without consuming a job worker — the right call
         for scripts, sweeps and tests.  Each call gets its own request id
         (``sync-<n>``), so concurrent calls never share per-request
-        resources such as shared-memory segment names.
+        resources such as worker-pool names.
         """
         request = MapRequest(
             receptor=receptor,
@@ -396,17 +400,17 @@ class FTMapService:
     @staticmethod
     def _process_streaming_available() -> bool:
         # Daemonic processes may not have children; everywhere else the
-        # stage pool can run (fork preferred, spawn otherwise).
+        # worker pool can run (fork preferred, spawn otherwise).
         return not mp.current_process().daemon
 
     def _resolve_streaming(self, request: MapRequest, n_items: int) -> str:
         """Actual scheduling mode for a request.
 
         An explicit ``request.streaming`` wins over the service default;
-        ``"auto"`` is the cost model: overlap is worth a worker pool only
-        when there are ≥2 probes to pipeline *and* ≥2 CPUs to run them
-        on, otherwise threads (one stage per probe in flight) or the
-        plain sequential loop.
+        ``"auto"`` is the cost model: a worker pool pays off only when
+        there are ≥2 probes *and* ≥2 CPUs to map them on, otherwise
+        threads (one stage per probe in flight) or the plain sequential
+        loop.
         """
         mode = request.streaming or self.streaming
         if mode == "auto":
@@ -450,6 +454,14 @@ class FTMapService:
                     return fn(x)
             return wrapper
 
+        def exec_span(stage: str, span, t_exec: float, name: str) -> None:
+            # The stage call itself, as a child of the stage span — the
+            # same shape a process worker records.
+            tracer.add_span(
+                f"{stage}-exec", t_exec, time.perf_counter(),
+                parent=span, probe=name,
+            )
+
         # Stages resolve through the module at call time, so the
         # monkeypatch seam tests use on ftmap.dock_probe keeps working.
         # Stage spans parent on the request's root span *explicitly*:
@@ -462,7 +474,9 @@ class FTMapService:
             t_stage = time.perf_counter()
             with tracer.span("dock", parent=root, probe=name) as span:
                 handle._emit("dock", name, index, total, span_id=span.span_id)
+                t_exec = time.perf_counter()
                 run = _ftmap.dock_probe(receptor, probe, cfg, cache=manager)
+                exec_span("dock", span, t_exec, name)
             stage_seconds.observe(time.perf_counter() - t_stage, stage="dock")
             return index, name, probe, run
 
@@ -488,6 +502,7 @@ class FTMapService:
                 # cancel_check reaches the engine's shard starts and the
                 # batch-chunk boundaries inside each shard: a cancelled
                 # job stops mid-stage, not just between stages.
+                t_exec = time.perf_counter()
                 stage = _ftmap.minimize_poses(
                     receptor,
                     probe,
@@ -497,6 +512,7 @@ class FTMapService:
                     cancel_check=handle._check_cancelled,
                     on_shard=on_shard,
                 )
+                exec_span("minimize", span, t_exec, name)
             stage_seconds.observe(
                 time.perf_counter() - t_stage, stage="minimize"
             )
@@ -505,24 +521,13 @@ class FTMapService:
                 handle._emit(
                     "cluster", name, index, total, span_id=span.span_id
                 )
+                t_exec = time.perf_counter()
                 clusters = _ftmap.cluster_probe(
                     stage.centers, stage.energies, cfg
                 )
+                exec_span("cluster", span, t_exec, name)
             stage_seconds.observe(time.perf_counter() - t_stage, stage="cluster")
-            return ProbeResult(
-                probe_name=name,
-                docked_poses=run.poses,
-                minimized=stage.results,
-                minimized_centers=stage.centers,
-                minimized_energies=stage.energies,
-                clusters=clusters,
-                docking_backend=run.backend,
-                minimize_backend=stage.backend,
-                minimize_devices=stage.devices,
-                minimize_shard_sizes=stage.shard_sizes,
-                minimize_reduction_order=stage.reduction_order,
-                minimize_cached=stage.cached,
-            )
+            return _ftmap.probe_result(name, run, stage, clusters)
 
         if mode == "process" and total > 1:
             results = self._run_probes_process(
@@ -551,124 +556,75 @@ class FTMapService:
         root,
         stage_seconds,
     ) -> List[ProbeResult]:
-        """Process streaming: dock and minimize in separate worker processes.
+        """Process streaming: each worker process maps whole probes.
 
-        Two parent threads (the same order-preserving
-        :class:`PipelineExecutor` the thread path uses) each drive one
-        resident worker process, so probe ``k+1`` docks while probe ``k``
-        minimizes *GIL-independently*.  Pose ensembles and minimized
-        conformation stacks ship through shared-memory segments leased by
-        an :class:`~repro.workers.shm.ShmArena` — names reserved before
-        dispatch, unlinked deterministically on completion, cancellation,
-        failure or worker death.  Cancellation stays cooperative at stage
-        boundaries; worker execution spans are stitched back into the
-        request trace from serialized span context (one monotonic clock
-        per host).  The stage functions and fp64 numerics are exactly the
-        sequential path's, so results are bitwise-identical.
+        FTMap's probes are independent, so each probe's dock → minimize →
+        cluster is one :func:`~repro.workers.stages.probe_task` on a pool
+        of ``min(probes, usable CPUs)`` worker processes (recorded as the
+        ``workers`` attribute of the ``map`` span).  Results come back
+        pickled over the workers' pipes and are taken in probe order.
+        For each one the parent folds the task's cache-stats delta into
+        the request scope, adopts the worker's spans (``dock``/
+        ``minimize``/``cluster`` under the root, each with its ``*-exec``
+        child) and emits the stage events at the times the worker
+        measured.  While it waits, the parent watches the job's cancel
+        flag and terminates the pool on cancellation.  The stage
+        functions and fp64 numerics are the sequential path's, so results
+        are bitwise-identical.
         """
         # Imported lazily: repro.workers pulls repro.api.errors back in,
         # and this module is importable before the workers package.
-        from repro.workers import ProcessWorkerPool, ShmArena
+        from repro.workers import ProcessWorkerPool
         from repro.workers import stages as _stages
 
+        handle._check_cancelled()
         total = len(items)
+        n_workers = min(total, usable_cpus())
+        root.set_attributes(workers=n_workers)
         pool = ProcessWorkerPool(
-            2,
+            n_workers,
             initializer=_stages.init_stage_worker,
             initargs=(receptor, cfg, manager),
             name=f"ftmap-{handle.job_id}",
         )
-        arena = ShmArena(prefix=f"repro-{handle.job_id}")
-
-        def record_spans(out: dict, fallback_parent) -> None:
-            for span_name, t0, t1, parent_id in out.get("spans", ()):
-                tracer.add_span(
-                    span_name, t0, t1,
-                    parent=parent_id or fallback_parent,
-                    thread=f"{pool.name}-worker",
-                    probe=out.get("probe", ""),
-                )
-
-        def stage_dock(task: Tuple[int, Tuple[str, Molecule]]):
-            index, (name, probe) = task
-            handle._check_cancelled()
-            t_stage = time.perf_counter()
-            with tracer.span("dock", parent=root, probe=name) as span:
-                handle._emit("dock", name, index, total, span_id=span.span_id)
-                segment = arena.reserve(f"d{index}")
-                out = pool.submit(
-                    _stages.dock_stage_task, name, probe, segment,
-                    span.span_id, label=f"dock:{name}",
-                ).result()
-                bundle = out["poses"]
-                arena.lease(bundle)
-                record_spans(out, span)
-                poses = _stages.unpack_poses(bundle)
-                run = _dc_replace(out["run_meta"], poses=poses)
-                span.set_attributes(backend=run.backend, poses=len(poses))
-            stage_seconds.observe(time.perf_counter() - t_stage, stage="dock")
-            return index, name, probe, run, bundle
-
-        def stage_refine(task) -> ProbeResult:
-            index, name, probe, run, bundle = task
-            handle._check_cancelled()
-            t_stage = time.perf_counter()
-            with tracer.span("minimize", parent=root, probe=name) as span:
-                handle._emit(
-                    "minimize", name, index, total, span_id=span.span_id
-                )
-                segment = arena.reserve(f"m{index}")
-                out = pool.submit(
-                    _stages.minimize_stage_task, name, probe, bundle,
-                    segment, span.span_id, label=f"minimize:{name}",
-                ).result()
-                ensemble = out["ensemble"]
-                arena.lease(ensemble)
-                record_spans(out, span)
-                span.set_attributes(backend=out["backend"])
-            stage_seconds.observe(
-                time.perf_counter() - t_stage, stage="minimize"
-            )
-            t_stage = time.perf_counter()
-            with tracer.span("cluster", parent=root, probe=name) as span:
-                # Clustered in the worker alongside minimize (one shm
-                # round trip); the event still marks the stage boundary.
-                handle._emit(
-                    "cluster", name, index, total, span_id=span.span_id
-                )
-                arrays = arena.read(ensemble)
-                results = _stages.rebuild_minimize_results(
-                    out["results_lite"], arrays["coords"]
-                )
-            stage_seconds.observe(time.perf_counter() - t_stage, stage="cluster")
-            arena.release(ensemble)
-            arena.release(bundle)
-            return ProbeResult(
-                probe_name=name,
-                docked_poses=run.poses,
-                minimized=results,
-                minimized_centers=arrays["centers"],
-                minimized_energies=arrays["energies"],
-                clusters=out["clusters"],
-                docking_backend=run.backend,
-                minimize_backend=out["backend"],
-                minimize_devices=out["devices"],
-                minimize_shard_sizes=tuple(out["shard_sizes"]),
-                minimize_reduction_order=tuple(out["reduction_order"]),
-                minimize_cached=out["cached"],
-            )
-
+        results: List[ProbeResult] = []
         try:
-            executor = PipelineExecutor(
-                [stage_dock, stage_refine], mode="thread"
-            )
-            results = executor.map(list(enumerate(items)))
+            futures = [
+                pool.submit(
+                    _stages.probe_task, name, probe, root.span_id,
+                    label=f"probe:{name}",
+                )
+                for name, probe in items
+            ]
+            for index, ((name, _), future) in enumerate(zip(items, futures)):
+                while not future.wait(_CANCEL_POLL_S):
+                    handle._check_cancelled()
+                out = future.result()
+                manager.merge(out["cache_stats"])
+                tracer.adopt(out["spans"])
+                stage_spans = {
+                    rec[0]: rec for rec in out["spans"]
+                    if rec[2] == root.span_id
+                }
+                for stage in ("dock", "minimize", "cluster"):
+                    handle._check_cancelled()
+                    _, span_id, _, start_s, end_s, _, _ = stage_spans[stage]
+                    span_id = span_id if tracer.enabled else ""
+                    handle._emit(
+                        stage, name, index, total,
+                        span_id=span_id, at_s=start_s,
+                    )
+                    if stage == "minimize":
+                        for shard, num_shards, at_s in out["shard_starts"]:
+                            handle._emit(
+                                "minimize-shard", name, shard, num_shards,
+                                span_id=span_id, at_s=at_s,
+                            )
+                    stage_seconds.observe(end_s - start_s, stage=stage)
+                results.append(out["result"])
         except BaseException:
-            # Cancellation, a stage failure or a dead worker: stop the
-            # pool hard and unlink every leased segment deterministically.
+            # Cancellation, a task failure or a dead worker: stop hard.
             pool.close(cancel=True)
-            arena.release_all()
             raise
         pool.close()
-        arena.release_all()
         return results

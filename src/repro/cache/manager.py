@@ -39,7 +39,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.cache.store import CODECS, MISS, DiskStore, MemoryStore, estimate_nbytes
@@ -163,6 +163,10 @@ class CacheManager:
         # thread-local scope stacks route per-request deltas (stats_scope).
         self._lock = threading.RLock()
         self._tlocal = threading.local()
+        # Store totals already attributed to an operation (see
+        # _store_counter_deltas); kept apart from ``stats``, which also
+        # counts evictions merged in from worker processes.
+        self._synced = {"evictions": 0, "corrupt_entries": 0}
         # Single-flight state: key -> Event of the in-process flight
         # currently computing it.  Followers (here and, via the disk
         # tier's lockfiles, in other processes) wait instead of
@@ -207,14 +211,25 @@ class CacheManager:
         is what lets request scopes see *their* evictions instead of a
         snapshot of someone else's.
         """
-        deltas = {}
+        totals = {}
         if self.memory is not None:
-            deltas["evictions"] = self.memory.evictions - self.stats.evictions
+            totals["evictions"] = self.memory.evictions
         if self.disk is not None:
-            deltas["corrupt_entries"] = (
-                self.disk.corrupt_entries - self.stats.corrupt_entries
-            )
+            totals["corrupt_entries"] = self.disk.corrupt_entries
+        deltas = {}
+        for field, total in totals.items():
+            deltas[field] = total - self._synced[field]
+            self._synced[field] = total
         return deltas
+
+    def merge(self, delta: CacheStats) -> None:
+        """Fold counters recorded elsewhere into this manager.
+
+        The delta — typically a worker process's :meth:`stats_scope` —
+        lands in the global counters and in every scope attached to the
+        calling thread, exactly as if the operations had run here.
+        """
+        self._record(**asdict(delta))
 
     def get(self, key: str):
         """Cached value for ``key`` or ``None`` (values must not be None)."""
@@ -338,7 +353,7 @@ class CacheManager:
         """Run one flight as this process's leader.
 
         Without a disk tier, that just means compute + put.  With one,
-        the directory may be shared between processes (stage workers,
+        the directory may be shared between processes (probe workers,
         gateway replicas, a second service on the host), so the leader
         first takes the key's lockfile; losing it means some other
         process is already computing — poll for its entry to land (or
@@ -411,8 +426,10 @@ class CacheManager:
         probe streams of :class:`repro.api.FTMapService`) passes the scope
         object explicitly: ``stats_scope(scope)`` attaches an existing
         scope to the current thread, so one request's scope can follow its
-        work across its pipeline workers.  Scopes never cross process
-        boundaries — forked probe workers keep their own managers.
+        work across its pipeline workers.  A scope object does not cross
+        a process boundary: a worker process opens its own scope on its
+        copy of the manager and returns the delta, which the parent folds
+        into the request's scope with :meth:`merge`.
         """
         s = scope if scope is not None else CacheStats()
         with self._lock:
@@ -454,10 +471,10 @@ class CacheManager:
             f"hits={self.stats.hits}, misses={self.stats.misses})"
         )
 
-    # Managers ride along when configs/engines cross process boundaries
-    # (stage worker pools).  Only the configuration
-    # travels: workers rebuild empty tiers (and re-share through the disk
-    # tier's directory when one is configured).
+    # Managers ride along when configs/engines are pickled across process
+    # boundaries (spawned worker pools; forked workers inherit a copy).
+    # Only the configuration travels: workers rebuild empty tiers (and
+    # re-share through the disk tier's directory when one is configured).
     def __getstate__(self):
         return {
             "policy": self.policy,

@@ -11,7 +11,7 @@ entry) instead of raising, so a damaged cache can only cost recompute
 time, never correctness.
 
 The disk tier is also the *fleet* coordination point: many processes —
-stage workers, gateway replicas, whole services on one host — may share
+worker processes, gateway replicas, whole services on one host — may share
 one cache directory.  Per-key lockfiles (:meth:`DiskStore.try_lock`,
 ``O_CREAT | O_EXCL`` with stale-steal) give cross-process single-flight
 to :meth:`CacheManager.get_or_compute`, and :meth:`DiskStore.sweep`

@@ -7,8 +7,8 @@ flows through the staged functions — :func:`dock_probe` (the
 :class:`~repro.minimize.engine.MinimizationEngine` facade over the docked
 ensemble) and :func:`cluster_probe` — which
 :class:`repro.api.FTMapService` schedules across a request's probes
-(sequentially, thread stage-pipelined, or across stage worker
-processes — see :mod:`repro.workers`).  The
+(sequentially, thread stage-pipelined, or one whole probe per worker
+process — see :mod:`repro.workers`).  The
 :class:`FTMapConfig` here is the single workload description shared by
 every layer, JSON-round-trippable through :meth:`FTMapConfig.to_dict`.
 
@@ -56,6 +56,7 @@ __all__ = [
     "minimize_poses",
     "cluster_probe",
     "map_probe",
+    "probe_result",
 ]
 
 
@@ -313,9 +314,10 @@ class FTMapResult:
     probe_results: Dict[str, ProbeResult]
     sites: List[ConsensusSite]
     #: Artifact-cache counter delta of this run (None with caching off).
-    #: Under process streaming only the parent process's lookups are
-    #: counted — stage workers keep their own managers (and share
-    #: artifacts through a configured disk tier).
+    #: Under process streaming each worker task returns the delta of its
+    #: own stats scope and the parent merges it in, so worker lookups
+    #: count too; workers' memory tiers stay per process (a configured
+    #: disk tier is shared).
     cache_stats: Optional[CacheStats] = None
 
     @property
@@ -654,6 +656,13 @@ def map_probe(
     docking = dock_probe(receptor, probe, config, cache=cache)
     stage = minimize_poses(receptor, probe, docking.poses, config, cache=cache)
     clusters = cluster_probe(stage.centers, stage.energies, config)
+    return probe_result(name, docking, stage, clusters)
+
+
+def probe_result(
+    name: str, docking: DockingRun, stage: MinimizeStage, clusters
+) -> ProbeResult:
+    """Assemble one probe's :class:`ProbeResult` from its three stages."""
     return ProbeResult(
         probe_name=name,
         docked_poses=docking.poses,

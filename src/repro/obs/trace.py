@@ -27,11 +27,12 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
     "Span",
+    "SpanRecord",
     "Tracer",
     "NullTracer",
     "TracerLike",
@@ -51,6 +52,11 @@ TRACE_SCHEMA_VERSION = 1
 #: Attribute value types that pass into the document untouched; anything
 #: else is stringified so traces always JSON-serialize.
 _JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+#: One finished span outside its tracer:
+#: ``(name, span_id, parent_id, start_s, end_s, thread, attributes)``.
+SpanRecord = Tuple[str, str, str, float, float, str, Dict[str, object]]
 
 
 def _new_id() -> str:
@@ -260,6 +266,37 @@ class Tracer:
         with self._lock:
             self._spans.append(span)
 
+    def records(self) -> List[SpanRecord]:
+        """The finished spans as plain picklable tuples, for :meth:`adopt`.
+
+        Times stay absolute ``perf_counter`` readings: on Linux that is
+        ``CLOCK_MONOTONIC``, one clock for every process on the host, so
+        a tracer in another process can record them unchanged.
+        """
+        with self._lock:
+            spans = list(self._spans)
+        return [
+            (
+                s.name, s.span_id, s.parent_id, s.start_s,
+                s.end_s if s.end_s is not None else s.start_s,
+                s.thread, dict(s.attributes),
+            )
+            for s in spans
+        ]
+
+    def adopt(self, records: Sequence[SpanRecord]) -> None:
+        """Record spans another tracer measured (see :meth:`records`).
+
+        Span ids and parent ids are kept, so a subtree built in a worker
+        process under one of this trace's span ids lands in place.
+        """
+        for name, span_id, parent_id, start_s, end_s, thread, attrs in records:
+            span = Span(self, name, parent_id=parent_id)
+            span.span_id = span_id
+            span.start_s, span.end_s, span.thread = start_s, end_s, thread
+            span.attributes = dict(attrs)
+            self._record(span)
+
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -316,6 +353,12 @@ class NullTracer:
     def add_span(self, name, start_s, end_s, parent=None, thread=None, **attributes):
         return NULL_SPAN
 
+    def records(self) -> List[SpanRecord]:
+        return []
+
+    def adopt(self, records) -> None:
+        pass
+
     def to_dict(self) -> None:
         return None
 
@@ -327,8 +370,8 @@ NULL_TRACER = NullTracer()
 
 #: What code holding "a tracer" actually holds: the live recorder or the
 #: disabled stand-in.  The two share the full surface (``enabled``,
-#: ``trace_id``, ``span``/``start_span``/``add_span``, ``to_dict``), so
-#: callers never branch on which one they have.
+#: ``trace_id``, ``span``/``start_span``/``add_span``, ``records``/``adopt``,
+#: ``to_dict``), so callers never branch on which one they have.
 TracerLike = Union[Tracer, NullTracer]
 
 

@@ -1,31 +1,31 @@
-"""Process-backed stage workers: GIL-independent dock/minimize overlap.
+"""Process workers: one whole probe per worker process.
 
-The thread-staged probe pipeline (:class:`repro.util.parallel.
-PipelineExecutor`) only truly overlaps dock and minimize when numpy
-happens to release the GIL.  This package makes the overlap
-process-real: a small fork/spawn-backed worker pool
-(:class:`~repro.workers.pool.ProcessWorkerPool`) executes the stage
-functions in separate worker processes, and the bulk pose/ensemble
-payloads ship between processes through named
-``multiprocessing.shared_memory`` segments managed by a leased arena
-(:class:`~repro.workers.shm.ShmArena`) — zero-copy numpy views in the
-workers, deterministic unlink in the parent on completion, cancellation
-or worker death.
+FTMap's probes are independent, so ``streaming="process"`` in
+:class:`repro.api.FTMapService` maps each probe — dock → minimize →
+cluster — as one :func:`~repro.workers.stages.probe_task` on a small
+fork/spawn-backed pool (:class:`~repro.workers.pool.ProcessWorkerPool`)
+of ``min(probes, usable CPUs)`` workers.  Each task's
+:class:`~repro.mapping.ftmap.ProbeResult`, cache-stats delta and spans
+come back pickled over the worker's pipe; a result is tens to a hundred
+KB, far below the cost of mapping the probe.
 
-:meth:`repro.api.FTMapService` wires this in as ``streaming="process"``
-(auto-selected on multi-CPU hosts for multi-probe requests); the
-scheduling changes, the values never do — process-streamed results are
-bitwise-identical to the sequential stage loop at fp64.
+The scheduling changes, the values never do — process-streamed results
+are bitwise-identical to the sequential stage loop at fp64.
+:func:`shm_bytes_in_use` is the leak check: the bytes of ``repro-``
+prefixed POSIX shared-memory segments on the host, which nothing here
+creates.
 """
 
-from repro.workers.pool import ProcessWorkerPool, WorkerFuture, worker_stats
-from repro.workers.shm import ArrayBundle, ShmArena, shm_bytes_in_use
+from repro.workers.pool import (
+    ProcessWorkerPool,
+    WorkerFuture,
+    shm_bytes_in_use,
+    worker_stats,
+)
 
 __all__ = [
     "ProcessWorkerPool",
     "WorkerFuture",
     "worker_stats",
-    "ArrayBundle",
-    "ShmArena",
     "shm_bytes_in_use",
 ]

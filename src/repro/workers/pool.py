@@ -1,10 +1,10 @@
-"""A small fork/spawn-backed worker pool for pipeline stage tasks.
+"""A small fork/spawn-backed worker pool for whole-probe tasks.
 
 The only place the package starts processes.  The pool is *resident*:
-workers start once per request, are fed stage tasks over per-worker
-pipes, and results stream back as each finishes — which is what lets
-probe ``k+1`` dock in one process while probe ``k`` minimizes in
-another, GIL-independently.
+workers start once per request, are fed tasks over per-worker pipes,
+and each result (pickled, back over the same pipe) arrives as soon as
+its task finishes — which is what lets several probes map at once, one
+per worker process, GIL-independently.
 
 Design points:
 
@@ -18,12 +18,13 @@ Design points:
 * **fork-without-locks discipline** — worker processes are always
   started outside the pool lock (a lock held across a fork is cloned
   *locked* into the child; rule REPRO-FORK enforces this repo-wide).
-* **daemonic workers** — a stage never forks grandchildren; a service
+* **daemonic workers** — a task never forks grandchildren; a service
   used inside a worker falls back to thread streaming.
 
 ``repro_worker_pool_size`` / ``repro_worker_busy`` gauges and
 :func:`worker_stats` (the ``/v1/stats`` ``workers`` section) aggregate
-over every live pool in the process.
+over every live pool in the process; :func:`shm_bytes_in_use` is the
+host-wide shared-memory leak check reported next to them.
 """
 
 from __future__ import annotations
@@ -40,9 +41,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.api.errors import JobFailedError
 from repro.obs.logging import log_event
 from repro.obs.metrics import registry
-from repro.workers import shm as _shm
 
-__all__ = ["ProcessWorkerPool", "WorkerFuture", "worker_stats"]
+__all__ = ["ProcessWorkerPool", "WorkerFuture", "worker_stats", "shm_bytes_in_use"]
+
+#: Where Linux exposes POSIX shared-memory segments, and the prefix of
+#: the names this package's processes would give theirs.
+_SHM_DIR = "/dev/shm"
+_SHM_PREFIX = "repro-"
 
 _POOLS: "weakref.WeakSet[ProcessWorkerPool]" = weakref.WeakSet()
 _STATS_LOCK = threading.Lock()
@@ -58,11 +63,34 @@ def _update_gauges() -> None:
         busy += p_busy
     reg = registry()
     reg.gauge(
-        "repro_worker_pool_size", help="Live stage-worker processes."
+        "repro_worker_pool_size", help="Live worker processes."
     ).set(float(size))
     reg.gauge(
-        "repro_worker_busy", help="Stage-worker processes executing a task."
+        "repro_worker_busy", help="Worker processes executing a task."
     ).set(float(busy))
+
+
+def shm_bytes_in_use() -> int:
+    """Bytes of ``/dev/shm`` entries whose names start with ``repro-``.
+
+    Workers ship results over their pipes and create no shared memory,
+    so anything counted here is a leak — from this process, one of its
+    workers, or any other process on the host.  0 where ``/dev/shm``
+    does not exist.
+    """
+    total = 0
+    try:
+        entries = os.scandir(_SHM_DIR)
+    except OSError:
+        return 0
+    with entries:
+        for entry in entries:
+            if entry.name.startswith(_SHM_PREFIX):
+                try:
+                    total += entry.stat().st_size
+                except OSError:  # unlinked since the listing
+                    continue
+    return total
 
 
 def worker_stats() -> Dict[str, int]:
@@ -79,7 +107,7 @@ def worker_stats() -> Dict[str, int]:
         "pools": len(pools),
         "pool_size": size,
         "busy": busy,
-        "shm_bytes_in_use": _shm.shm_bytes_in_use(),
+        "shm_bytes_in_use": shm_bytes_in_use(),
         "stage_tasks_total": tasks,
         "worker_restarts_total": restarts,
     }
@@ -109,6 +137,10 @@ class WorkerFuture:
 
     def done(self) -> bool:
         return self._event.is_set()
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until the task finished or ``timeout`` passed; True if done."""
+        return self._event.wait(timeout)
 
     def result(self, timeout: Optional[float] = None) -> Any:
         if not self._event.wait(timeout):
@@ -163,7 +195,7 @@ def _worker_main(conn, initializer, initargs) -> None:
 
 
 class ProcessWorkerPool:
-    """``n_workers`` resident processes executing submitted stage tasks.
+    """``n_workers`` resident processes executing submitted tasks.
 
     ``initializer(*initargs)`` runs once in each worker before it serves
     tasks (the per-request context: receptor, config, cache manager —
@@ -235,8 +267,7 @@ class ProcessWorkerPool:
 
         ``cancel=False`` lets in-flight tasks finish first; ``cancel=True``
         terminates workers immediately and fails queued/in-flight futures
-        (the cancellation/failure path — callers then release the arena,
-        which unlinks whatever segments the dead tasks had leased).
+        (the cancellation/failure path).
         """
         with self._lock:
             if self._closed:

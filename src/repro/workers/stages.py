@@ -1,214 +1,93 @@
-"""Worker-process bodies of the dock and minimize pipeline stages.
+"""Worker-process body of process streaming: one task maps one whole probe.
 
-These run inside :class:`~repro.workers.pool.ProcessWorkerPool` workers
-and call the *same* stage functions the sequential and thread-pipelined
-paths call (:func:`repro.mapping.ftmap.dock_probe` /
-:func:`minimize_poses` / :func:`cluster_probe`), at the same fp64
-numerics — which is what makes ``streaming="process"`` bitwise-identical
-to ``"sequential"``.  Only the transport differs:
+:func:`probe_task` runs inside a :class:`~repro.workers.pool.
+ProcessWorkerPool` worker and calls the *same* stage functions the
+sequential and thread-pipelined paths call
+(:func:`repro.mapping.ftmap.dock_probe` → :func:`minimize_poses` →
+:func:`cluster_probe`), at the same fp64 numerics — which is what makes
+``streaming="process"`` bitwise-identical to ``"sequential"``.  FTMap's
+probes are independent, so a request's probes spread over the pool's
+workers and map side by side.
 
-* pose ensembles and minimized conformation stacks ship through named
-  shared-memory segments (:mod:`repro.workers.shm`) whose names the
-  parent reserved up front; workers read them as zero-copy views,
-* everything small (backends, cluster summaries, per-pose scalars,
-  measured span times) rides the task pipe as regular pickles,
-* span context crosses the process boundary serialized: the parent
-  passes its stage span id, the worker measures ``perf_counter`` start/
-  end (``CLOCK_MONOTONIC`` — one clock for every process on the host)
-  and the parent stitches the execution span back into the request
-  trace post hoc via :meth:`repro.obs.trace.Tracer.add_span`.
+Everything a task produces travels back over the worker's pipe as one
+pickle: the finished :class:`~repro.mapping.ftmap.ProbeResult`, the
+:class:`~repro.cache.manager.CacheStats` delta of the task's own stats
+scope, the ``minimize-shard`` starts, and the task's spans.  The spans
+are recorded on a worker-local :class:`~repro.obs.trace.Tracer` whose
+stage spans hang under the request's root span id; ``perf_counter`` is
+``CLOCK_MONOTONIC``, one clock for every process on the host, so the
+parent adopts them into the request trace unchanged.
 
 The per-request context (receptor, config, cache manager) installs once
-per worker via :func:`init_stage_worker`; the manager pickles as
-configuration-only, so workers start with empty memory tiers but share
-a configured disk tier — including its single-flight lockfiles.
+per worker via :func:`init_stage_worker`.  Workers are forked, so each
+starts with a copy of the parent's manager: memory tiers are per worker
+from then on, while a configured disk tier — including its single-flight
+lockfiles — is shared.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
+import threading
 import time
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.docking.piper import DockedPose
-from repro.geometry.transforms import RigidTransform
 from repro.mapping import ftmap as _ftmap
-from repro.workers.shm import ArrayBundle, map_arrays, pack_arrays
+from repro.obs.trace import Tracer
 
-__all__ = [
-    "init_stage_worker",
-    "dock_stage_task",
-    "minimize_stage_task",
-    "pack_poses",
-    "unpack_poses",
-]
+__all__ = ["init_stage_worker", "probe_task"]
 
 #: (receptor, config, cache manager) — installed once per worker.
 _STAGE_CTX = None
-
-_EMPTY_COORDS = np.empty((0, 3))
 
 
 def init_stage_worker(receptor, config, cache=None) -> None:
     global _STAGE_CTX
     _STAGE_CTX = (receptor, config, cache)
+    # Spans recorded here land on one trace row per worker process.
+    threading.current_thread().name = (
+        f"{mp.current_process().name}-{os.getpid()}"
+    )
 
 
-# -- pose ensemble packing ----------------------------------------------------------
+def probe_task(name: str, probe, parent_span_id: str = "") -> dict:
+    """Dock, minimize and cluster one probe; returns what the parent needs.
 
-
-def pose_arrays(poses: Sequence[DockedPose]) -> Dict[str, np.ndarray]:
-    """Flatten a pose list into the arrays that ship through shm."""
-    n = len(poses)
-    return {
-        "rotation_indices": np.array(
-            [p.rotation_index for p in poses], dtype=np.int64
-        ),
-        "rotations": (
-            np.stack([np.asarray(p.rotation, dtype=np.float64) for p in poses])
-            if n else np.empty((0, 3, 3))
-        ),
-        "voxel_offsets": np.array(
-            [tuple(p.translation) for p in poses], dtype=np.int64
-        ).reshape(n, 3),
-        "scores": np.array([p.score for p in poses], dtype=np.float64),
-        "world_rotations": (
-            np.stack([p.transform.rotation for p in poses])
-            if n else np.empty((0, 3, 3))
-        ),
-        "world_translations": (
-            np.stack([p.transform.translation for p in poses])
-            if n else np.empty((0, 3))
-        ),
-    }
-
-
-def poses_from_arrays(arrays: Dict[str, np.ndarray]) -> List[DockedPose]:
-    """Rebuild the pose list (bitwise: all fp64 fields round-trip exact)."""
-    out: List[DockedPose] = []
-    for k in range(len(arrays["scores"])):
-        out.append(
-            DockedPose(
-                rotation_index=int(arrays["rotation_indices"][k]),
-                rotation=np.array(arrays["rotations"][k]),
-                translation=tuple(
-                    int(v) for v in arrays["voxel_offsets"][k]
-                ),
-                score=float(arrays["scores"][k]),
-                transform=RigidTransform(
-                    np.array(arrays["world_rotations"][k]),
-                    np.array(arrays["world_translations"][k]),
-                ),
-            )
-        )
-    return out
-
-
-def pack_poses(segment: str, poses: Sequence[DockedPose]) -> ArrayBundle:
-    return pack_arrays(segment, pose_arrays(poses))
-
-
-def unpack_poses(bundle: Optional[ArrayBundle]) -> List[DockedPose]:
-    if bundle is None:
-        return []
-    arrays, seg = map_arrays(bundle)
-    try:
-        return poses_from_arrays(arrays)
-    finally:
-        if seg is not None:
-            seg.close()
-
-
-# -- stage tasks --------------------------------------------------------------------
-
-
-def dock_stage_task(
-    name: str, probe, out_segment: str, parent_span_id: str = ""
-) -> dict:
-    """Dock one probe; poses ship back through ``out_segment``."""
-    receptor, cfg, manager = _STAGE_CTX
-    t0 = time.perf_counter()
-    run = _ftmap.dock_probe(receptor, probe, cfg, cache=manager)
-    t1 = time.perf_counter()
-    bundle = pack_poses(out_segment, run.poses)
-    return {
-        "probe": name,
-        "poses": bundle,
-        "n_poses": len(run.poses),
-        # The run's provenance without its bulk payload.
-        "run_meta": replace(run, poses=[]),
-        "spans": [("dock-exec", t0, t1, parent_span_id)],
-    }
-
-
-def minimize_stage_task(
-    name: str,
-    probe,
-    poses_bundle: Optional[ArrayBundle],
-    out_segment: str,
-    parent_span_id: str = "",
-) -> dict:
-    """Minimize + cluster one probe's docked ensemble.
-
-    Reads the pose ensemble as zero-copy views over the dock stage's
-    segment, refines, and ships the minimized coordinate stack, centers
-    and energies back through ``out_segment``.
+    Each stage gets a ``dock``/``minimize``/``cluster`` span under
+    ``parent_span_id`` (the stage functions annotate it, as in-thread)
+    and a ``*-exec`` child for the stage call itself.
     """
     receptor, cfg, manager = _STAGE_CTX
-    arrays, seg = (
-        map_arrays(poses_bundle)
-        if poses_bundle is not None and poses_bundle.segment
-        else ({}, None)
-    )
-    try:
-        poses = (
-            poses_from_arrays(arrays) if arrays else unpack_poses(poses_bundle)
+    tracer = Tracer()
+    shard_starts = []
+
+    def on_shard(shard_index: int, num_shards: int) -> None:
+        shard_starts.append((shard_index, num_shards, time.perf_counter()))
+
+    def exec_span(stage: str, span, t0: float) -> None:
+        tracer.add_span(
+            f"{stage}-exec", t0, time.perf_counter(), parent=span, probe=name
         )
-        t0 = time.perf_counter()
-        stage = _ftmap.minimize_poses(receptor, probe, poses, cfg, cache=manager)
-        t1 = time.perf_counter()
-        clusters = _ftmap.cluster_probe(stage.centers, stage.energies, cfg)
-        t2 = time.perf_counter()
-    finally:
-        if seg is not None:
-            seg.close()
-    coords = (
-        np.stack([r.coords for r in stage.results])
-        if stage.results else np.empty((0, 0, 3))
-    )
-    bundle = pack_arrays(
-        out_segment,
-        {
-            "coords": coords,
-            "centers": np.asarray(stage.centers, dtype=np.float64),
-            "energies": np.asarray(stage.energies, dtype=np.float64),
-        },
-    )
-    # Results travel coords-less over the pipe; the parent re-attaches
-    # the stacks from shared memory.
-    results_lite = [replace(r, coords=_EMPTY_COORDS) for r in stage.results]
+
+    with manager.stats_scope() as stats:
+        with tracer.span("dock", parent=parent_span_id, probe=name) as span:
+            t0 = time.perf_counter()
+            run = _ftmap.dock_probe(receptor, probe, cfg, cache=manager)
+            exec_span("dock", span, t0)
+        with tracer.span("minimize", parent=parent_span_id, probe=name) as span:
+            t0 = time.perf_counter()
+            stage = _ftmap.minimize_poses(
+                receptor, probe, run.poses, cfg, cache=manager,
+                on_shard=on_shard,
+            )
+            exec_span("minimize", span, t0)
+        with tracer.span("cluster", parent=parent_span_id, probe=name) as span:
+            t0 = time.perf_counter()
+            clusters = _ftmap.cluster_probe(stage.centers, stage.energies, cfg)
+            exec_span("cluster", span, t0)
     return {
-        "probe": name,
-        "ensemble": bundle,
-        "results_lite": results_lite,
-        "clusters": clusters,
-        "backend": stage.backend,
-        "devices": stage.devices,
-        "shard_sizes": tuple(stage.shard_sizes),
-        "reduction_order": tuple(stage.reduction_order),
-        "cached": stage.cached,
-        "spans": [
-            ("minimize-exec", t0, t1, parent_span_id),
-            ("cluster-exec", t1, t2, parent_span_id),
-        ],
+        "result": _ftmap.probe_result(name, run, stage, clusters),
+        "cache_stats": stats,
+        "shard_starts": shard_starts,
+        "spans": tracer.records(),
     }
-
-
-def rebuild_minimize_results(results_lite, coords: np.ndarray):
-    """Re-attach shared-memory coordinate stacks to the shipped results."""
-    return [
-        replace(lite, coords=np.array(coords[k]))
-        for k, lite in enumerate(results_lite)
-    ]

@@ -383,6 +383,28 @@ class TestStatsScopes:
         assert outer.puts == 1
         assert inner.puts == 0
 
+    def test_merge_lands_in_globals_and_attached_scopes(self):
+        """A worker process's delta folds in as if the lookups ran here."""
+        mgr = CacheManager(policy="memory")
+        with mgr.stats_scope() as scope:
+            mgr.merge(CacheStats(hits=3, misses=1, puts=1, memory_hits=3,
+                                 evictions=2))
+        assert (scope.hits, scope.misses, scope.puts) == (3, 1, 1)
+        assert scope.evictions == 2
+        assert (mgr.stats.hits, mgr.stats.evictions) == (3, 2)
+
+    def test_merged_evictions_do_not_skew_local_attribution(self):
+        """Local evictions are counted against the store's own total, so
+        evictions merged in from elsewhere never turn a later local
+        delta negative."""
+        mgr = CacheManager(policy="memory", memory_bytes=16)
+        mgr.merge(CacheStats(evictions=5))
+        with mgr.stats_scope() as scope:
+            for key in ("ns/a", "ns/b", "ns/c"):        # the third evicts
+                mgr.put(key, 1, nbytes=8)
+        assert scope.evictions == mgr.memory.evictions == 1
+        assert mgr.stats.evictions == 6
+
     def test_nested_scopes_both_accumulate(self):
         mgr = CacheManager(policy="memory")
         with mgr.stats_scope() as outer:

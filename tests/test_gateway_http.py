@@ -238,7 +238,6 @@ class TestProcessStreamingOverHTTP:
         for name in (
             "repro_worker_pool_size",
             "repro_worker_busy",
-            "repro_shm_bytes_in_use",
             "repro_cache_singleflight_waits_total",
         ):
             assert name in text, name

@@ -108,6 +108,28 @@ class TestSpans:
         assert rec["thread"] == "minimize-device-1"
         assert rec["attributes"]["device"] == 1
 
+    def test_records_adopt_round_trip_keeps_ids_and_times(self):
+        """A subtree recorded by another tracer (a worker process) lands
+        in place: ids, parents, times, threads and attributes kept."""
+        import pickle
+
+        tracer = Tracer()
+        with tracer.span("map") as root:
+            pass
+        worker = Tracer()
+        with worker.span("dock", parent=root.span_id, probe="x") as dock:
+            worker.add_span("dock-exec", dock.start_s, dock.start_s, parent=dock)
+        records = pickle.loads(pickle.dumps(worker.records()))
+        tracer.adopt(records)
+        doc = {s["name"]: s for s in tracer.to_dict()["spans"]}
+        assert doc["dock"]["parent_id"] == root.span_id
+        assert doc["dock"]["span_id"] == dock.span_id
+        assert doc["dock-exec"]["parent_id"] == dock.span_id
+        assert doc["dock"]["attributes"] == {"probe": "x"}
+        assert doc["dock"]["duration_s"] == pytest.approx(dock.duration_s)
+        NULL_TRACER.adopt(records)                  # disabled: inert
+        assert NULL_TRACER.records() == []
+
     def test_non_scalar_attributes_are_stringified(self):
         tracer = Tracer()
         with tracer.span("s") as span:

@@ -1,21 +1,13 @@
-"""repro.workers: shared-memory arena + resident process worker pool."""
+"""repro.workers: resident process worker pool + shared-memory leak check."""
 
 import os
 import signal
 import time
 
-import numpy as np
 import pytest
 
 from repro.api.errors import JobFailedError
-from repro.workers import (
-    ArrayBundle,
-    ProcessWorkerPool,
-    ShmArena,
-    shm_bytes_in_use,
-    worker_stats,
-)
-from repro.workers.shm import map_arrays, pack_arrays
+from repro.workers import ProcessWorkerPool, shm_bytes_in_use, worker_stats
 
 # -- picklable worker-side task functions (module-level by protocol) ----------
 
@@ -55,120 +47,27 @@ def _unpicklable():
     return lambda: None
 
 
-def _pack_task(segment):
-    arrays = {
-        "a": np.arange(12, dtype=np.float64).reshape(3, 4),
-        "b": np.array([7, 8, 9], dtype=np.int64),
-    }
-    return pack_arrays(segment, arrays)
+# -- shared-memory leak check ------------------------------------------------
 
 
-# -- shared-memory packing ----------------------------------------------------
+class TestShmLeakCheck:
+    def test_counts_repro_prefixed_segments_only(self):
+        from multiprocessing import shared_memory
 
-
-class TestShmPacking:
-    def test_pack_map_round_trip_zero_copy(self):
-        arrays = {
-            "scores": np.linspace(-4.0, 2.0, 9),
-            "index": np.arange(5, dtype=np.int64),
-        }
-        bundle = pack_arrays("repro-test-rt", arrays)
-        try:
-            assert bundle.segment == "repro-test-rt"
-            views, seg = map_arrays(bundle)
-            assert seg is not None
-            for key, arr in arrays.items():
-                assert np.array_equal(views[key], arr)
-                assert not views[key].flags.writeable
-            seg.close()
-        finally:
-            arena = ShmArena(prefix="cleanup")
-            arena._leases[bundle.segment] = bundle.nbytes
-            arena._unlink(bundle.segment)
-
-    def test_pack_map_copy_mode_owns_data(self):
-        arrays = {"x": np.full((4, 3), 2.5)}
-        bundle = pack_arrays("repro-test-copy", arrays)
-        try:
-            copies, seg = map_arrays(bundle, copy=True)
-            assert seg is None
-            assert np.array_equal(copies["x"], arrays["x"])
-            copies["x"][0, 0] = -1.0  # writable: a real copy
-        finally:
-            arena = ShmArena(prefix="cleanup")
-            arena._leases[bundle.segment] = bundle.nbytes
-            arena._unlink(bundle.segment)
-
-    def test_empty_arrays_pack_to_metadata_only_bundle(self):
-        bundle = pack_arrays(
-            "repro-test-empty",
-            {"none": np.empty((0, 3)), "zip": np.empty(0, dtype=np.int64)},
+        before = shm_bytes_in_use()
+        mine = shared_memory.SharedMemory(
+            name=f"repro-test-{os.getpid()}", create=True, size=4096
         )
-        assert bundle.segment == ""          # no zero-byte segments
-        assert bundle.nbytes == 0
-        arrays, seg = map_arrays(bundle)
-        assert seg is None
-        assert arrays["none"].shape == (0, 3)
-        assert arrays["zip"].dtype == np.int64
-
-    def test_arrays_are_alignment_padded(self):
-        arrays = {
-            "tiny": np.array([1.0]),          # 8 bytes -> next offset 64
-            "next": np.arange(3, dtype=np.int64),
-        }
-        bundle = pack_arrays("repro-test-align", arrays)
+        other = shared_memory.SharedMemory(
+            name=f"other-test-{os.getpid()}", create=True, size=4096
+        )
         try:
-            offsets = {s.key: s.offset for s in bundle.arrays}
-            assert offsets["tiny"] == 0
-            assert offsets["next"] == 64
+            assert shm_bytes_in_use() == before + mine.size
         finally:
-            arena = ShmArena(prefix="cleanup")
-            arena._leases[bundle.segment] = bundle.nbytes
-            arena._unlink(bundle.segment)
-
-
-class TestShmArena:
-    def test_reserve_lease_read_release_accounting(self):
-        arena = ShmArena(prefix="repro-arena")
-        name = arena.reserve("d0")
-        assert name.startswith("repro-arena-") and name.endswith("-d0")
-        bundle = _pack_task(name)
-        arena.lease(bundle)
-        assert arena.bytes_in_use == bundle.nbytes
-        assert shm_bytes_in_use() >= bundle.nbytes
-        arrays = arena.read(bundle)
-        assert np.array_equal(arrays["b"], [7, 8, 9])
-        arena.release(bundle)
-        assert arena.bytes_in_use == 0
-        assert len(arena) == 0
-        # Unlinked for real: attaching again fails.
-        with pytest.raises(FileNotFoundError):
-            map_arrays(bundle)
-
-    def test_release_of_never_created_segment_is_noop(self):
-        arena = ShmArena(prefix="repro-arena")
-        name = arena.reserve("ghost")
-        # The producer "died" before creating the segment.
-        arena.release(ArrayBundle(segment=name, nbytes=0))
-        arena.release(None)
-        arena.release_all()
-        assert shm_bytes_in_use() == 0
-
-    def test_release_all_unlinks_everything_and_closes_arena(self):
-        arena = ShmArena(prefix="repro-arena")
-        bundles = []
-        for tag in ("d0", "d1"):
-            bundle = _pack_task(arena.reserve(tag))
-            arena.lease(bundle)
-            bundles.append(bundle)
-        assert len(arena) == 2
-        arena.release_all()
-        assert arena.bytes_in_use == 0
-        for bundle in bundles:
-            with pytest.raises(FileNotFoundError):
-                map_arrays(bundle)
-        with pytest.raises(RuntimeError, match="released"):
-            arena.reserve("late")
+            for seg in (mine, other):
+                seg.close()
+                seg.unlink()
+        assert shm_bytes_in_use() == before
 
 
 # -- worker pool --------------------------------------------------------------
@@ -221,17 +120,6 @@ class TestProcessWorkerPool:
             assert pool.submit(_echo, "alive").result(timeout=60) == "alive"
         assert worker_stats()["worker_restarts_total"] == before + 1
 
-    def test_crash_during_shm_stage_leaves_no_leak(self):
-        """A producer SIGKILLed before creating its reserved segment:
-        the arena still releases cleanly (missing names are no-ops)."""
-        arena = ShmArena(prefix="repro-crash")
-        name = arena.reserve("d0")
-        with ProcessWorkerPool(1, name="t-crash-shm") as pool:
-            with pytest.raises(JobFailedError):
-                pool.submit(_kill_self, label=f"pack:{name}").result(timeout=60)
-        arena.release_all()
-        assert shm_bytes_in_use() == 0
-
     def test_close_cancel_fails_queued_and_inflight_tasks(self):
         pool = ProcessWorkerPool(1, name="t-cancel")
         slow = pool.submit(_sleep_echo, "slow", 30.0, label="slow")
@@ -266,3 +154,10 @@ class TestProcessWorkerPool:
             with pytest.raises(TimeoutError):
                 future.result(timeout=0.05)
             assert future.result(timeout=60) == "x"
+
+    def test_future_wait_reports_completion(self):
+        with ProcessWorkerPool(1, name="t-wait") as pool:
+            future = pool.submit(_sleep_echo, "x", 1.0, label="slow")
+            assert future.wait(0.01) is False
+            assert future.wait(60) is True
+            assert future.done() and future.result() == "x"
