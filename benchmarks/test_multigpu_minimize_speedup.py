@@ -43,8 +43,8 @@ MIN_PREDICTED_SHARD_SPEEDUP = 1.5
 #: predicted at 4 devices).
 PREV_MIN_PREDICTED_SHARD_SPEEDUP = 1.5
 
-#: Wall-clock floor on hosts with real parallelism (thread-backed shards,
-#: same mechanism and floor as the stage-pipeline overlap gate).
+#: Wall-clock floor on hosts with real parallelism (thread-backed shards;
+#: the same floor the deleted thread stage-pipeline gate used).
 MIN_WALL_SPEEDUP = 1.3
 PREV_MIN_WALL_SPEEDUP = 1.3
 

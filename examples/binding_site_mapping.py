@@ -42,8 +42,8 @@ def main() -> None:
     log.done()
 
     log.section("map (one request through the service front door)")
-    # The probes stream stage-pipelined: probe k+1 docks while probe k
-    # minimizes and clusters.
+    # On a multi-CPU host the probes map side by side on worker
+    # processes, one whole probe per task.
     with FTMapService(config=config) as service:
         mapped = service.map(protein, config)
     result = mapped.result

@@ -9,8 +9,9 @@ mapped against a stream of probe workloads through the session-scoped
 2. a stream of :class:`~repro.api.MapRequest` documents (JSON-shaped —
    exactly what a wire protocol would carry) is **submitted
    asynchronously**; each job reports per-stage progress events,
-3. multi-probe requests are **stage-pipelined** (probe k+1 docks while
-   probe k minimizes), and repeat workloads are served
+3. the session cache is memory-only, so each request maps its probes in
+   its own job thread (forked workers would keep their memory-tier
+   artifacts to themselves), and repeat workloads are served
    **mapped-or-cached** from the shared artifact cache — watch the hit
    rates climb as the stream progresses.
 

@@ -30,9 +30,14 @@ from repro.structure.molecule import Molecule
 __all__ = ["STREAMING_MODES", "MapRequest", "MapResult", "receptor_fingerprint"]
 
 #: How a request's probes may be scheduled: ``None`` (service default),
-#: the sequential stage loop, the thread-staged pipeline, or whole probes
-#: mapped side by side in worker processes (GIL-independent).
-STREAMING_MODES = ("sequential", "pipeline", "process")
+#: one after another in the request's thread, or whole probes mapped side
+#: by side in worker processes (GIL-independent).
+STREAMING_MODES = ("sequential", "process")
+
+#: Streaming modes of earlier releases; :meth:`MapRequest.from_dict` maps
+#: them to ``None`` (the service default).  ``"pipeline"`` (thread stage
+#: pipelining) went in 3.0.0.
+_RETIRED_STREAMING = ("pipeline",)
 
 
 def receptor_fingerprint(receptor: Molecule) -> str:
@@ -54,8 +59,8 @@ class MapRequest:
     receptor previously passed to
     :meth:`~repro.api.service.FTMapService.register_receptor`.
     ``streaming`` overrides the service's scheduling mode for this request
-    (``"sequential"`` | ``"pipeline"`` | ``"process"``; None = service
-    default) — an explicit mode always wins over config-driven selection.
+    (``"sequential"`` | ``"process"``; None = service default) — an
+    explicit mode always wins over config-driven selection.
     ``tracing`` overrides ``config.tracing`` for this request (None =
     defer to the config): a client can ask for a trace without caring
     that traced and untraced configs hash to the same cache keys.
@@ -119,7 +124,8 @@ class MapRequest:
         Accepts any supported ``schema_version`` (a missing field means
         version 1, the pre-versioning dialect); an unsupported version is
         rejected with :class:`~repro.api.errors.SchemaVersionError`
-        before any field is interpreted.
+        before any field is interpreted.  A retired streaming mode
+        (``"pipeline"``, 2.x) becomes ``None``, the service default.
         """
         check_schema_version(data, "MapRequest")
         known = {
@@ -147,11 +153,14 @@ class MapRequest:
             raise InvalidRequestError(
                 f"MapRequest.tracing must be a boolean or null, got {tracing!r}"
             )
+        streaming = data.get("streaming")
+        if streaming in _RETIRED_STREAMING:
+            streaming = None
         return cls(
             receptor=data["receptor"],
             config=cfg,
             request_id=data.get("request_id"),
-            streaming=data.get("streaming"),
+            streaming=streaming,
             tracing=tracing,
         )
 
@@ -168,9 +177,9 @@ class MapResult:
     #: Request-scoped cache delta (None with caching off): only this
     #: request's lookups, even when other requests overlap on the manager.
     cache_stats: Optional[CacheStats]
-    #: How the probes were actually scheduled: ``"sequential"``,
-    #: ``"pipeline"`` (thread stage-overlapped), or ``"process"``
-    #: (worker-process stage-overlapped).
+    #: How the probes were actually scheduled: ``"sequential"`` (one
+    #: after another in the request's thread) or ``"process"`` (whole
+    #: probes side by side in worker processes).
     streaming: str = "sequential"
     #: The request's serialized trace document (see
     #: :meth:`repro.obs.trace.Tracer.to_dict`), or None when tracing was

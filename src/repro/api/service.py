@@ -10,16 +10,15 @@ asynchronous jobs.
 
 Three properties define the serving layer:
 
-* **probe streaming** — a multi-probe request runs its probes
-  concurrently.  The default on multi-CPU hosts is ``"process"``: each
-  probe's dock → minimize → cluster is one task on a pool of worker
-  *processes* (:mod:`repro.workers`), one probe per CPU at a time, with
-  results returned over the workers' pipes.  ``"pipeline"`` stage-
-  pipelines on threads (:class:`~repro.util.parallel.PipelineExecutor`):
-  probe ``k+1`` docks while probe ``k`` minimizes and clusters.
-  Scheduling changes, values never do — every mode is bitwise-identical
-  to the sequential stage loop and emits the same progress events and
-  span names (tested).
+* **probe streaming** — FTMap's probes are independent, so a
+  multi-probe request can map them in parallel.  The default on
+  multi-CPU hosts is ``"process"``: each probe is one task on a pool of
+  worker *processes* (:mod:`repro.workers`), one probe per CPU at a
+  time, with results returned over the workers' pipes; ``"sequential"``
+  maps them one after another in the request's thread.  Both run every probe through the
+  same stage body, :func:`repro.mapping.ftmap.map_probe`, so scheduling
+  changes and values never do: every mode is bitwise-identical and emits
+  the same progress events and span names (tested).
 * **cache-aware serving** — receptors register once by content hash, and
   every artifact lookup is content-addressed, so concurrent requests
   against the same receptor share grids, spectra and whole dock results
@@ -46,7 +45,8 @@ import multiprocessing as mp
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from contextlib import nullcontext
+from typing import Callable, ContextManager, Dict, List, Optional, Tuple, Union
 
 from repro.api.errors import (
     DuplicateRequestError,
@@ -71,7 +71,7 @@ from repro.obs.metrics import registry
 from repro.obs.trace import Tracer, TracerLike
 from repro.structure.molecule import Molecule
 from repro.structure.probes import build_probe
-from repro.util.parallel import PipelineExecutor, usable_cpus
+from repro.util.parallel import usable_cpus
 
 __all__ = ["FTMapService"]
 
@@ -104,8 +104,8 @@ class FTMapService:
         worker.
     streaming:
         Default probe scheduling: ``"auto"`` (one probe per worker
-        process on multi-CPU hosts, thread-pipelined otherwise),
-        ``"process"``, ``"pipeline"``, or ``"sequential"``.
+        process on multi-CPU hosts, sequential otherwise), ``"process"``
+        or ``"sequential"``.
     on_event:
         Optional callback invoked with every :class:`ProgressEvent`
         across all jobs (in addition to per-handle event logs).
@@ -332,7 +332,7 @@ class FTMapService:
             name: build_probe(name) for name in cfg.probe_names
         }
         items = list(probe_set.items())
-        mode = self._resolve_streaming(request, len(items))
+        mode = self._resolve_streaming(request, len(items), manager)
         log_event(
             "request.started",
             job_id=handle.job_id,
@@ -349,19 +349,13 @@ class FTMapService:
             probes=len(items),
             streaming=mode,
         ) as root:
-            if manager.enabled:
-                with manager.stats_scope() as scope:
-                    probe_results = self._run_probes(
-                        receptor, items, cfg, manager, mode, handle, scope,
-                        tracer, root,
-                    )
-                stats: Optional[CacheStats] = scope
-            else:
+            scope: ContextManager[Optional[CacheStats]] = (
+                manager.stats_scope() if manager.enabled else nullcontext()
+            )
+            with scope as stats:
                 probe_results = self._run_probes(
-                    receptor, items, cfg, manager, mode, handle, None,
-                    tracer, root,
+                    receptor, items, cfg, manager, mode, handle, tracer, root
                 )
-                stats = None
 
             handle._check_cancelled()
             t_stage = time.perf_counter()
@@ -403,26 +397,30 @@ class FTMapService:
         # worker pool can run (fork preferred, spawn otherwise).
         return not mp.current_process().daemon
 
-    def _resolve_streaming(self, request: MapRequest, n_items: int) -> str:
+    def _resolve_streaming(
+        self, request: MapRequest, n_items: int, manager: CacheManager
+    ) -> str:
         """Actual scheduling mode for a request.
 
-        An explicit ``request.streaming`` wins over the service default;
-        ``"auto"`` is the cost model: a worker pool pays off only when
-        there are ≥2 probes *and* ≥2 CPUs to map them on, otherwise
-        threads (one stage per probe in flight) or the plain sequential
-        loop.
+        An explicit ``request.streaming`` wins over the service default.
+        ``"auto"`` picks a worker pool only where it pays off and loses
+        nothing: ≥2 probes, ≥2 usable CPUs, and a manager that is not
+        memory-only (what a forked worker puts in its memory tier never
+        reaches the parent, so memory-only requests would stop sharing
+        artifacts).  Everything else runs the sequential loop, as does a
+        process request with one probe or under a daemonic parent.
         """
         mode = request.streaming or self.streaming
         if mode == "auto":
-            if n_items > 1 and usable_cpus() >= 2:
-                mode = "process"
-            elif n_items > 1:
-                mode = "pipeline"
-            else:
-                mode = "sequential"
-        if mode == "process" and not self._process_streaming_available():
-            mode = "pipeline"
-        if n_items <= 1:
+            pays_off = (
+                n_items > 1
+                and usable_cpus() >= 2
+                and manager.policy != "memory"
+            )
+            mode = "process" if pays_off else "sequential"
+        if mode == "process" and (
+            n_items <= 1 or not self._process_streaming_available()
+        ):
             mode = "sequential"
         return mode
 
@@ -434,115 +432,29 @@ class FTMapService:
         manager: CacheManager,
         mode: str,
         handle: JobHandle,
-        scope: Optional[CacheStats],
         tracer: TracerLike,
         root,
     ) -> Dict[str, ProbeResult]:
-        total = len(items)
-        stage_seconds = registry().histogram(
-            "repro_stage_seconds", ("stage",),
-            help="Wall seconds per pipeline stage.",
-        )
-
-        def in_scope(fn):
-            # Pipeline stages run on their own threads; attaching the
-            # request's scope there keeps per-request stats complete.
-            if scope is None:
-                return fn
-            def wrapper(x):
-                with manager.stats_scope(scope):
-                    return fn(x)
-            return wrapper
-
-        def exec_span(stage: str, span, t_exec: float, name: str) -> None:
-            # The stage call itself, as a child of the stage span — the
-            # same shape a process worker records.
-            tracer.add_span(
-                f"{stage}-exec", t_exec, time.perf_counter(),
-                parent=span, probe=name,
-            )
-
-        # Stages resolve through the module at call time, so the
-        # monkeypatch seam tests use on ftmap.dock_probe keeps working.
-        # Stage spans parent on the request's root span *explicitly*:
-        # in pipeline mode the stages run on pipeline-executor threads,
-        # and the explicit parent keeps the trace connected without
-        # relying on ambient context crossing the thread boundary.
-        def stage_dock(task: Tuple[int, Tuple[str, Molecule]]):
-            index, (name, probe) = task
-            handle._check_cancelled()
-            t_stage = time.perf_counter()
-            with tracer.span("dock", parent=root, probe=name) as span:
-                handle._emit("dock", name, index, total, span_id=span.span_id)
-                t_exec = time.perf_counter()
-                run = _ftmap.dock_probe(receptor, probe, cfg, cache=manager)
-                exec_span("dock", span, t_exec, name)
-            stage_seconds.observe(time.perf_counter() - t_stage, stage="dock")
-            return index, name, probe, run
-
-        def stage_refine(task) -> ProbeResult:
-            index, name, probe, run = task
-            handle._check_cancelled()
-            t_stage = time.perf_counter()
-            with tracer.span("minimize", parent=root, probe=name) as span:
-                handle._emit(
-                    "minimize", name, index, total, span_id=span.span_id
-                )
-
-                def on_shard(shard_index: int, num_shards: int) -> None:
-                    # Per-shard dispatch events: a multi-device
-                    # minimization surfaces each shard as it starts, so
-                    # clients can render device-level progress within the
-                    # stage.
-                    handle._emit(
-                        "minimize-shard", name, shard_index, num_shards,
-                        span_id=span.span_id,
-                    )
-
-                # cancel_check reaches the engine's shard starts and the
-                # batch-chunk boundaries inside each shard: a cancelled
-                # job stops mid-stage, not just between stages.
-                t_exec = time.perf_counter()
-                stage = _ftmap.minimize_poses(
-                    receptor,
-                    probe,
-                    run.poses,
-                    cfg,
-                    cache=manager,
-                    cancel_check=handle._check_cancelled,
-                    on_shard=on_shard,
-                )
-                exec_span("minimize", span, t_exec, name)
-            stage_seconds.observe(
-                time.perf_counter() - t_stage, stage="minimize"
-            )
-            t_stage = time.perf_counter()
-            with tracer.span("cluster", parent=root, probe=name) as span:
-                handle._emit(
-                    "cluster", name, index, total, span_id=span.span_id
-                )
-                t_exec = time.perf_counter()
-                clusters = _ftmap.cluster_probe(
-                    stage.centers, stage.energies, cfg
-                )
-                exec_span("cluster", span, t_exec, name)
-            stage_seconds.observe(time.perf_counter() - t_stage, stage="cluster")
-            return _ftmap.probe_result(name, run, stage, clusters)
-
-        if mode == "process" and total > 1:
+        if mode == "process":
             results = self._run_probes_process(
-                receptor, items, cfg, manager, handle, tracer, root,
-                stage_seconds,
+                receptor, items, cfg, manager, handle, tracer, root
             )
-        elif mode == "pipeline" and total > 1:
-            executor = PipelineExecutor(
-                [in_scope(stage_dock), in_scope(stage_refine)], mode="thread"
-            )
-            results = executor.map(list(enumerate(items)))
         else:
-            results = [
-                stage_refine(stage_dock(task)) for task in enumerate(items)
-            ]
+            results = []
+            total = len(items)
+            for index, (name, probe) in enumerate(items):
+
+                def on_event(stage, span, shard, name=name, index=index):
+                    at, count = shard if shard is not None else (index, total)
+                    handle._emit(stage, name, at, count, span_id=span.span_id)
+
+                results.append(
+                    _ftmap.map_probe(
+                        receptor, name, probe, cfg, cache=manager,
+                        tracer=tracer, parent=root, on_event=on_event,
+                        cancel_check=handle._check_cancelled,
+                    )
+                )
         return {pr.probe_name: pr for pr in results}
 
     def _run_probes_process(
@@ -554,23 +466,21 @@ class FTMapService:
         handle: JobHandle,
         tracer: TracerLike,
         root,
-        stage_seconds,
     ) -> List[ProbeResult]:
         """Process streaming: each worker process maps whole probes.
 
-        FTMap's probes are independent, so each probe's dock → minimize →
-        cluster is one :func:`~repro.workers.stages.probe_task` on a pool
-        of ``min(probes, usable CPUs)`` worker processes (recorded as the
+        FTMap's probes are independent, so each probe's
+        :func:`~repro.mapping.ftmap.map_probe` is one
+        :func:`~repro.workers.stages.probe_task` on a pool of
+        ``min(probes, usable CPUs)`` worker processes (recorded as the
         ``workers`` attribute of the ``map`` span).  Results come back
         pickled over the workers' pipes and are taken in probe order.
         For each one the parent folds the task's cache-stats delta into
         the request scope, adopts the worker's spans (``dock``/
         ``minimize``/``cluster`` under the root, each with its ``*-exec``
-        child) and emits the stage events at the times the worker
-        measured.  While it waits, the parent watches the job's cancel
-        flag and terminates the pool on cancellation.  The stage
-        functions and fp64 numerics are the sequential path's, so results
-        are bitwise-identical.
+        child) and replays the stage and shard events at the times the
+        worker recorded them.  While it waits, the parent watches the
+        job's cancel flag and terminates the pool on cancellation.
         """
         # Imported lazily: repro.workers pulls repro.api.errors back in,
         # and this module is importable before the workers package.
@@ -581,6 +491,10 @@ class FTMapService:
         total = len(items)
         n_workers = min(total, usable_cpus())
         root.set_attributes(workers=n_workers)
+        stage_seconds = registry().histogram(
+            "repro_stage_seconds", ("stage",),
+            help="Wall seconds per pipeline stage.",
+        )
         pool = ProcessWorkerPool(
             n_workers,
             initializer=_stages.init_stage_worker,
@@ -602,25 +516,18 @@ class FTMapService:
                 out = future.result()
                 manager.merge(out["cache_stats"])
                 tracer.adopt(out["spans"])
-                stage_spans = {
-                    rec[0]: rec for rec in out["spans"]
-                    if rec[2] == root.span_id
-                }
-                for stage in ("dock", "minimize", "cluster"):
+                for stage, span_id, shard, at_s in out["events"]:
                     handle._check_cancelled()
-                    _, span_id, _, start_s, end_s, _, _ = stage_spans[stage]
-                    span_id = span_id if tracer.enabled else ""
+                    at, count = shard if shard is not None else (index, total)
                     handle._emit(
-                        stage, name, index, total,
-                        span_id=span_id, at_s=start_s,
+                        stage, name, at, count,
+                        span_id=span_id if tracer.enabled else "", at_s=at_s,
                     )
-                    if stage == "minimize":
-                        for shard, num_shards, at_s in out["shard_starts"]:
-                            handle._emit(
-                                "minimize-shard", name, shard, num_shards,
-                                span_id=span_id, at_s=at_s,
-                            )
-                    stage_seconds.observe(end_s - start_s, stage=stage)
+                # The worker's histogram stays in the worker; its stage
+                # spans carry the same durations.
+                for stage, _, parent_id, start_s, end_s, _, _ in out["spans"]:
+                    if parent_id == root.span_id:
+                        stage_seconds.observe(end_s - start_s, stage=stage)
                 results.append(out["result"])
         except BaseException:
             # Cancellation, a task failure or a dead worker: stop hard.

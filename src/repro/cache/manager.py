@@ -159,7 +159,7 @@ class CacheManager:
         self.memory = MemoryStore(self.memory_bytes) if policy != "off" else None
         self.disk = DiskStore(self.directory) if policy == "disk" else None
         # Counter updates are atomic under one lock so concurrent requests
-        # (service jobs, pipelined stages) never tear the statistics; the
+        # (service jobs, caller threads) never tear the statistics; the
         # thread-local scope stacks route per-request deltas (stats_scope).
         self._lock = threading.RLock()
         self._tlocal = threading.local()
@@ -422,11 +422,10 @@ class CacheManager:
         and operations increment the global counters *and* every scope
         attached to the executing thread.
 
-        Work that fans out to helper threads (e.g. the stage-pipelined
-        probe streams of :class:`repro.api.FTMapService`) passes the scope
-        object explicitly: ``stats_scope(scope)`` attaches an existing
-        scope to the current thread, so one request's scope can follow its
-        work across its pipeline workers.  A scope object does not cross
+        Work that fans out to helper threads passes the scope object
+        explicitly: ``stats_scope(scope)`` attaches an existing scope to
+        the current thread, so one request's scope can follow its work
+        across those threads.  A scope object does not cross
         a process boundary: a worker process opens its own scope on its
         copy of the manager and returns the delta, which the parent folds
         into the request's scope with :meth:`merge`.

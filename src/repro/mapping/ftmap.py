@@ -5,10 +5,11 @@ flows through the staged functions — :func:`dock_probe` (the
 :class:`~repro.docking.engine.DockingEngine` facade),
 :func:`minimize_poses` (the
 :class:`~repro.minimize.engine.MinimizationEngine` facade over the docked
-ensemble) and :func:`cluster_probe` — which
-:class:`repro.api.FTMapService` schedules across a request's probes
-(sequentially, thread stage-pipelined, or one whole probe per worker
-process — see :mod:`repro.workers`).  The
+ensemble) and :func:`cluster_probe`.  :func:`map_probe` is the one body
+that runs them in order, with their spans, progress callbacks and
+cancellation; :class:`repro.api.FTMapService` calls it for each of a
+request's probes, in the request's thread or one whole probe per worker
+process (see :mod:`repro.workers`).  The
 :class:`FTMapConfig` here is the single workload description shared by
 every layer, JSON-round-trippable through :meth:`FTMapConfig.to_dict`.
 
@@ -19,8 +20,10 @@ benchmarks use the cost models for paper-scale timing.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +45,8 @@ from repro.mapping.consensus import ConsensusSite
 from repro.minimize.engine import MINIMIZE_BACKEND_NAMES, MinimizationEngine
 from repro.minimize.multidevice import ShardExecution
 from repro.minimize.minimizer import MinimizationResult, MinimizerConfig
-from repro.obs.trace import current_span, current_tracer
+from repro.obs.metrics import registry
+from repro.obs.trace import NULL_TRACER, TracerLike, current_span, current_tracer
 from repro.structure.builder import pocket_movable_mask
 from repro.structure.molecule import Molecule
 from repro.structure.probes import FTMAP_PROBE_NAMES
@@ -316,8 +320,11 @@ class FTMapResult:
     #: Artifact-cache counter delta of this run (None with caching off).
     #: Under process streaming each worker task returns the delta of its
     #: own stats scope and the parent merges it in, so worker lookups
-    #: count too; workers' memory tiers stay per process (a configured
-    #: disk tier is shared).
+    #: count too.  A configured disk tier is shared with the workers, but
+    #: what a worker puts in its memory tier stays in that worker: the
+    #: service's ``auto`` streaming therefore maps memory-only managers
+    #: in the request's thread, and only an explicit
+    #: ``streaming="process"`` sends them to workers.
     cache_stats: Optional[CacheStats] = None
 
     @property
@@ -645,18 +652,70 @@ def cluster_probe(
     return cluster_poses(centers, energies, radius=config.cluster_radius)
 
 
+#: ``on_event(stage, span, shard)`` of :func:`map_probe`: called as each
+#: stage starts (``shard`` is None) and as each minimization shard starts
+#: (stage ``"minimize-shard"``, ``shard`` is ``(index, count)``).
+StageCallback = Callable[[str, Any, Optional[Tuple[int, int]]], None]
+
+
 def map_probe(
     receptor: Molecule,
     name: str,
     probe: Molecule,
     config: FTMapConfig,
     cache: Optional[CacheManager] = None,
+    *,
+    tracer: TracerLike = NULL_TRACER,
+    parent=None,
+    on_event: Optional[StageCallback] = None,
+    cancel_check: Optional[Callable[[], None]] = None,
 ) -> ProbeResult:
-    """Run one probe through dock -> minimize -> cluster."""
-    docking = dock_probe(receptor, probe, config, cache=cache)
-    stage = minimize_poses(receptor, probe, docking.poses, config, cache=cache)
-    clusters = cluster_probe(stage.centers, stage.energies, config)
-    return probe_result(name, docking, stage, clusters)
+    """Run one probe through dock -> minimize -> cluster.
+
+    The one stage body of every streaming mode: the service runs it in
+    the request's thread, a process worker runs it once per task.  Each
+    stage opens a ``dock``/``minimize``/``cluster`` span on ``tracer``
+    under ``parent`` (the stage functions annotate it), records a
+    ``*-exec`` child for the stage call itself, and is observed in the
+    ``repro_stage_seconds`` histogram.  ``cancel_check`` runs before each
+    stage and reaches the minimizer's shard and batch-chunk boundaries.
+    """
+    stage_seconds = registry().histogram(
+        "repro_stage_seconds", ("stage",),
+        help="Wall seconds per pipeline stage.",
+    )
+
+    @contextmanager
+    def stage(label: str) -> Iterator[Any]:
+        if cancel_check is not None:
+            cancel_check()
+        t_stage = time.perf_counter()
+        with tracer.span(label, parent=parent, probe=name) as span:
+            if on_event is not None:
+                on_event(label, span, None)
+            t_exec = time.perf_counter()
+            yield span
+            tracer.add_span(
+                f"{label}-exec", t_exec, time.perf_counter(),
+                parent=span, probe=name,
+            )
+        stage_seconds.observe(time.perf_counter() - t_stage, stage=label)
+
+    with stage("dock"):
+        docking = dock_probe(receptor, probe, config, cache=cache)
+    with stage("minimize") as span:
+
+        def on_shard(index: int, count: int) -> None:
+            if on_event is not None:
+                on_event("minimize-shard", span, (index, count))
+
+        minimized = minimize_poses(
+            receptor, probe, docking.poses, config, cache=cache,
+            cancel_check=cancel_check, on_shard=on_shard,
+        )
+    with stage("cluster"):
+        clusters = cluster_probe(minimized.centers, minimized.energies, config)
+    return probe_result(name, docking, minimized, clusters)
 
 
 def probe_result(

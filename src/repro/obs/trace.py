@@ -145,10 +145,10 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 #: Ambient (tracer, span) of the executing context; None when no trace
-#: is active.  Contextvars are per-thread snapshots, so worker threads
-#: inherit whatever context they were handed (see
-#: :class:`repro.util.parallel.PipelineExecutor`) without sharing
-#: mutable state.
+#: is active.  Contextvars are per-thread snapshots, so a thread sees
+#: only the context it was handed, never another thread's mutable state;
+#: work timed on other threads is recorded post hoc with an explicit
+#: parent (:meth:`Tracer.add_span`, as for minimization shard spans).
 _CURRENT: ContextVar[Optional[Tuple["Tracer", "Span"]]] = ContextVar(
     "repro_obs_current_span", default=None
 )

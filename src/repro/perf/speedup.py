@@ -335,10 +335,10 @@ def pipeline_makespan(stage_times: Sequence[Sequence[float]]) -> float:
     """Makespan of a stage pipeline over measured per-item stage times.
 
     ``stage_times[k][s]`` is the time item ``k`` spends in stage ``s``.
-    The schedule is the one :class:`~repro.util.parallel.PipelineExecutor`
-    executes: each stage is a single sequential worker, so stage ``s``
-    starts item ``k`` once *both* stage ``s-1`` finished item ``k`` and
-    stage ``s`` itself finished item ``k-1``:
+    The schedule is a classic stage pipeline: each stage is a single
+    sequential worker, so stage ``s`` starts item ``k`` once *both* stage
+    ``s-1`` finished item ``k`` and stage ``s`` itself finished item
+    ``k-1``:
 
     ``finish[k][s] = max(finish[k][s-1], finish[k-1][s]) + t[k][s]``
 

@@ -1,4 +1,5 @@
-"""Utilities: stage pipelining, validation helpers, run logging."""
+"""Utilities: validation helpers and run logging (CPU accounting and
+chunking live in :mod:`repro.util.parallel`)."""
 
 from repro.util.validation import (
     require_positive,

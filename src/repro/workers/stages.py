@@ -1,28 +1,30 @@
 """Worker-process body of process streaming: one task maps one whole probe.
 
 :func:`probe_task` runs inside a :class:`~repro.workers.pool.
-ProcessWorkerPool` worker and calls the *same* stage functions the
-sequential and thread-pipelined paths call
-(:func:`repro.mapping.ftmap.dock_probe` → :func:`minimize_poses` →
-:func:`cluster_probe`), at the same fp64 numerics — which is what makes
-``streaming="process"`` bitwise-identical to ``"sequential"``.  FTMap's
-probes are independent, so a request's probes spread over the pool's
-workers and map side by side.
+ProcessWorkerPool` worker and calls :func:`repro.mapping.ftmap.map_probe`
+— the same stage body the sequential path runs in the request's thread,
+at the same fp64 numerics — which is what makes ``streaming="process"``
+bitwise-identical to ``"sequential"``.  FTMap's probes are independent,
+so a request's probes spread over the pool's workers and map side by
+side.
 
 Everything a task produces travels back over the worker's pipe as one
 pickle: the finished :class:`~repro.mapping.ftmap.ProbeResult`, the
 :class:`~repro.cache.manager.CacheStats` delta of the task's own stats
-scope, the ``minimize-shard`` starts, and the task's spans.  The spans
-are recorded on a worker-local :class:`~repro.obs.trace.Tracer` whose
-stage spans hang under the request's root span id; ``perf_counter`` is
-``CLOCK_MONOTONIC``, one clock for every process on the host, so the
-parent adopts them into the request trace unchanged.
+scope, the stage and ``minimize-shard`` events with the times they
+started, and the task's spans.  The spans are recorded on a worker-local
+:class:`~repro.obs.trace.Tracer` whose stage spans hang under the
+request's root span id; ``perf_counter`` is ``CLOCK_MONOTONIC``, one
+clock for every process on the host, so the parent adopts the spans and
+replays the events unchanged.
 
 The per-request context (receptor, config, cache manager) installs once
 per worker via :func:`init_stage_worker`.  Workers are forked, so each
-starts with a copy of the parent's manager: memory tiers are per worker
-from then on, while a configured disk tier — including its single-flight
-lockfiles — is shared.
+starts with a copy of the parent's manager.  A configured disk tier —
+including its single-flight lockfiles — is shared; a memory tier is per
+worker from then on, and what a task puts there never reaches the parent
+(the service's ``auto`` streaming keeps memory-only managers in the
+request's thread for that reason).
 """
 
 from __future__ import annotations
@@ -51,43 +53,26 @@ def init_stage_worker(receptor, config, cache=None) -> None:
 
 
 def probe_task(name: str, probe, parent_span_id: str = "") -> dict:
-    """Dock, minimize and cluster one probe; returns what the parent needs.
+    """Map one probe; returns what the parent needs to replay it.
 
-    Each stage gets a ``dock``/``minimize``/``cluster`` span under
-    ``parent_span_id`` (the stage functions annotate it, as in-thread)
-    and a ``*-exec`` child for the stage call itself.
+    ``events`` lists ``(stage, span_id, shard, perf_counter)`` for every
+    :func:`~repro.mapping.ftmap.map_probe` callback, in order.
     """
     receptor, cfg, manager = _STAGE_CTX
     tracer = Tracer()
-    shard_starts = []
+    events = []
 
-    def on_shard(shard_index: int, num_shards: int) -> None:
-        shard_starts.append((shard_index, num_shards, time.perf_counter()))
-
-    def exec_span(stage: str, span, t0: float) -> None:
-        tracer.add_span(
-            f"{stage}-exec", t0, time.perf_counter(), parent=span, probe=name
-        )
+    def on_event(stage, span, shard) -> None:
+        events.append((stage, span.span_id, shard, time.perf_counter()))
 
     with manager.stats_scope() as stats:
-        with tracer.span("dock", parent=parent_span_id, probe=name) as span:
-            t0 = time.perf_counter()
-            run = _ftmap.dock_probe(receptor, probe, cfg, cache=manager)
-            exec_span("dock", span, t0)
-        with tracer.span("minimize", parent=parent_span_id, probe=name) as span:
-            t0 = time.perf_counter()
-            stage = _ftmap.minimize_poses(
-                receptor, probe, run.poses, cfg, cache=manager,
-                on_shard=on_shard,
-            )
-            exec_span("minimize", span, t0)
-        with tracer.span("cluster", parent=parent_span_id, probe=name) as span:
-            t0 = time.perf_counter()
-            clusters = _ftmap.cluster_probe(stage.centers, stage.energies, cfg)
-            exec_span("cluster", span, t0)
+        result = _ftmap.map_probe(
+            receptor, name, probe, cfg, cache=manager,
+            tracer=tracer, parent=parent_span_id, on_event=on_event,
+        )
     return {
-        "result": _ftmap.probe_result(name, run, stage, clusters),
+        "result": result,
         "cache_stats": stats,
-        "shard_starts": shard_starts,
+        "events": events,
         "spans": tracer.records(),
     }

@@ -75,7 +75,8 @@ def config_doc_1_9():
 
 
 class TestConfigMigration:
-    """Documents written by 1.9.0 still load, and map like ``serial``."""
+    """Documents written by 1.9.0 and 2.x still load; 1.9.0 configs map
+    like ``serial``."""
 
     def test_retired_fields_and_backend_migrate(self):
         cfg = FTMapConfig.from_dict(json.loads(json.dumps(config_doc_1_9())))
@@ -118,6 +119,18 @@ class TestConfigMigration:
         with pytest.raises(InvalidRequestError, match="warp_factor"):
             MapRequest.from_dict({"receptor": "a" * 64, "config": doc})
 
+    def test_retired_pipeline_streaming(self):
+        """2.x's thread ``"pipeline"`` mode loads as the service default
+        from documents, and is rejected when constructed by name."""
+        doc = {"receptor": "a" * 64, "streaming": "pipeline"}
+        request = MapRequest.from_dict(json.loads(json.dumps(doc)))
+        assert request.streaming is None
+        assert MapRequest.from_dict(request.to_dict()) == request
+        with pytest.raises(InvalidRequestError, match="pipeline"):
+            MapRequest(receptor="a" * 64, streaming="pipeline")
+        with pytest.raises(InvalidRequestError, match="pipeline"):
+            FTMapService(streaming="pipeline")
+
     def test_constructor_rejects_retired_names(self):
         with pytest.raises(TypeError, match="probe_workers"):
             FTMapConfig(probe_workers=2)
@@ -134,7 +147,7 @@ class TestMapRequest:
             receptor=receptor_fingerprint(receptor),
             config=FTMapConfig(probe_names=("ethanol",), num_rotations=4),
             request_id="req-7",
-            streaming="pipeline",
+            streaming="process",
         )
         wire = json.dumps(request.to_dict())
         back = MapRequest.from_dict(json.loads(wire))

@@ -12,6 +12,7 @@ from repro.api import (
     JobCancelled,
     MapRequest,
 )
+from repro.api import service as service_module
 from repro.cache import CacheManager, reset_cache_registry
 from repro.mapping.consensus import consensus_sites
 from repro.mapping.ftmap import FTMapConfig, FTMapResult, map_probe
@@ -95,21 +96,12 @@ class TestSynchronousMap:
             mapped = service.map(protein, cfg)
         assert_bitwise_equal(by_hand, mapped.result)
 
-    def test_pipelined_matches_sequential_bitwise(self, protein):
-        cfg = tiny_config(probe_names=("ethanol", "acetone", "urea"))
-        with FTMapService() as service:
-            seq = service.map(protein, cfg, streaming="sequential")
-            pipe = service.map(protein, cfg, streaming="pipeline")
-        assert seq.streaming == "sequential"
-        assert pipe.streaming == "pipeline"
-        assert_bitwise_equal(seq.result, pipe.result)
-
-    def test_auto_pipelines_multi_probe(self, protein):
-        with FTMapService() as service:
+    def test_auto_streams_multi_probe_to_processes(self, protein):
+        with FTMapService(cache=CacheManager(policy="off")) as service:
             multi = service.map(protein, tiny_config())
             single = service.map(protein, tiny_config(probe_names=("ethanol",)))
         # auto's cost model: process workers need >= 2 CPUs to overlap.
-        expected = "process" if usable_cpus() >= 2 else "pipeline"
+        expected = "process" if usable_cpus() >= 2 else "sequential"
         assert multi.streaming == expected
         assert single.streaming == "sequential"
 
@@ -121,7 +113,7 @@ class TestSynchronousMap:
         assert seq.streaming == "sequential"
         assert proc.streaming == "process"
         assert_bitwise_equal(seq.result, proc.result)
-        # Every leased shared-memory segment was unlinked again.
+        # Results travel over the worker pipes: no repro- segment in /dev/shm.
         assert shm_bytes_in_use() == 0
 
     def test_service_default_streaming_selects_process(self, protein):
@@ -138,10 +130,11 @@ class TestSynchronousMap:
         cfg = tiny_config()
         with FTMapService(streaming="process") as service:
             seq = service.map(protein, cfg, streaming="sequential")
-            pipe = service.map(protein, cfg, streaming="pipeline")
+        with FTMapService(streaming="sequential") as service:
+            proc = service.map(protein, cfg, streaming="process")
         assert seq.streaming == "sequential"
-        assert pipe.streaming == "pipeline"
-        assert_bitwise_equal(seq.result, pipe.result)
+        assert proc.streaming == "process"
+        assert_bitwise_equal(seq.result, proc.result)
 
     def test_process_mode_job_emits_stage_events(self, protein):
         """Process streaming keeps the thread path's per-stage progress
@@ -496,6 +489,38 @@ class TestSharedCacheFleet:
             assert np.array_equal(other.channels, first.channels)
 
 
+class TestStreamingSelection:
+    def test_auto_runs_sequential_where_processes_cannot_start(
+        self, protein, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(
+            FTMapService, "_process_streaming_available",
+            staticmethod(lambda: False),
+        )
+        cfg = tiny_config(cache_policy="off")
+        with FTMapService(cache=CacheManager(policy="off")) as service:
+            auto = service.map(protein, cfg)
+            explicit = service.map(protein, cfg, streaming="process")
+        assert auto.streaming == "sequential"
+        assert explicit.streaming == "sequential"
+
+    def test_explicit_process_wins_over_memory_only_cache(
+        self, protein, monkeypatch
+    ):
+        """``auto`` keeps memory-only requests in the caller's thread; an
+        explicit ``"process"`` still maps them on workers, whose
+        memory-tier puts stay in the workers."""
+        monkeypatch.setattr(service_module, "usable_cpus", lambda: 2)
+        cfg = tiny_config()
+        with FTMapService(cache=CacheManager(policy="memory")) as service:
+            auto = service.map(protein, cfg)
+            explicit = service.map(protein, cfg, streaming="process")
+        assert auto.streaming == "sequential"
+        assert explicit.streaming == "process"
+        assert_bitwise_equal(auto.result, explicit.result)
+
+
 class TestServiceValidation:
     def test_bad_max_workers(self):
         with pytest.raises(ValueError, match="max_workers"):
@@ -528,16 +553,20 @@ def map_from_two_threads(service, protein, cfg, streaming):
 
 
 class TestThreadSafetyOfScopes:
-    def test_map_from_two_caller_threads(self, protein):
+    @pytest.mark.parametrize("streaming", ["sequential", None])
+    def test_map_from_two_caller_threads(self, protein, streaming):
         """Synchronous map() from concurrent caller threads: each result
-        still carries its own request-scoped stats.  Pinned to thread
-        streaming, whose stats scopes this is about."""
+        still carries its own request-scoped stats.  Under a memory-only
+        manager ``auto`` (None) maps in the caller's thread too, since
+        forked workers would lose their memory-tier puts."""
         cfg = tiny_config()
         manager = CacheManager(policy="memory")
         with FTMapService(cache=manager) as service:
-            service.map(protein, cfg, streaming="pipeline")   # warm the cache
-            results = map_from_two_threads(service, protein, cfg, "pipeline")
+            warm = service.map(protein, cfg, streaming=streaming)
+            results = map_from_two_threads(service, protein, cfg, streaming)
+        assert warm.streaming == "sequential"
         for mapped in results.values():
+            assert mapped.streaming == "sequential"
             assert mapped.cache_stats.misses == 0
             assert mapped.cache_stats.hits == 2 * len(cfg.probe_names)
 

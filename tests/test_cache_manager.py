@@ -1,6 +1,7 @@
 """CacheManager facade: policies, two-tier lookup, stats, resolution."""
 
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,12 @@ class TestSingleFlight:
         t_a.start()
         t_b.start()
         a_entered.wait(30)
+        # Hold A's compute open until B waits on the lockfile (generously
+        # bounded): released at once, A can finish before B's first
+        # lookup on a single CPU, and B then reads a plain disk hit.
+        deadline = time.monotonic() + 30.0
+        while b.singleflight_waits < 1 and time.monotonic() < deadline:
+            time.sleep(0.002)
         a_release.set()
         t_a.join(60)
         t_b.join(60)
@@ -416,8 +423,8 @@ class TestStatsScopes:
         assert (inner.hits, inner.puts) == (1, 0)
 
     def test_attaching_existing_scope_follows_worker_thread(self):
-        """A request's scope can be attached to helper threads (the
-        pipelined stages), so fan-out work still lands in one delta."""
+        """A request's scope can be attached to helper threads, so
+        fan-out work still lands in one delta."""
         import threading
 
         mgr = CacheManager(policy="memory")

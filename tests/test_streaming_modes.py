@@ -3,7 +3,7 @@
 Each test pins the mode it checks; none inherits it from ``auto`` and the
 host's CPU count.  ``process`` maps whole probes on worker processes, so
 its results, cache stats, progress events and span names must come back
-from the workers exactly as the in-thread modes record them.
+from the workers exactly as the in-thread loop records them.
 """
 
 import multiprocessing as mp
@@ -18,7 +18,7 @@ from repro.cache import CacheManager, reset_cache_registry
 from repro.mapping.ftmap import FTMapConfig
 from repro.structure import synthetic_protein
 
-MODES = ("sequential", "pipeline", "process")
+MODES = ("sequential", "process")
 STAGES = ("dock", "minimize", "cluster")
 
 
@@ -125,6 +125,36 @@ class TestModeContract:
         assert stats[mode].hits == stats["sequential"].hits
         assert stats[mode].misses == stats["sequential"].misses == 0
         assert stats[mode].hits == 2 * len(cfg.probe_names)
+
+
+def sharded_config():
+    return tiny_config(minimize_engine="multi-gpu-sim", minimize_devices=2)
+
+
+@pytest.fixture(scope="module")
+def sharded_sequential_run(protein):
+    return run_job(protein, sharded_config(), "sequential")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sharded_minimization_events(protein, sharded_sequential_run, mode):
+    """Two-device minimization: each shard start reaches the job as a
+    ``minimize-shard`` event between its probe's ``minimize`` and
+    ``cluster``, from worker processes too."""
+    reference, _ = sharded_sequential_run
+    mapped, events = run_job(protein, sharded_config(), mode)
+    assert_same_bits(reference.result, mapped.result)
+    names = span_names(mapped)
+    assert names == span_names(reference)
+    assert names["minimize-shard"] == 2 * len(sharded_config().probe_names)
+    for probe in sharded_config().probe_names:
+        probe_events = [e for e in events if e.probe == probe]
+        assert [e.stage for e in probe_events] == [
+            "dock", "minimize", "minimize-shard", "minimize-shard", "cluster",
+        ], probe
+        shards = probe_events[2:4]
+        assert {e.index for e in shards} == {0, 1}
+        assert all(e.total == 2 for e in shards)
 
 
 class TestProcessStreaming:
