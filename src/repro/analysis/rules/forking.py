@@ -5,9 +5,10 @@ Forking (or spawning) with a lock held is a classic deadlock factory:
 the thread that would release it, and even spawn-based pools inherit a
 serialization point — a pool constructed or fed while the parent holds a
 lock couples worker scheduling to that lock's critical section.  The
-repo's process machinery (:class:`repro.workers.pool.ProcessWorkerPool`)
-is deliberately structured to start and feed workers *outside* every
-lock; this rule pins that discipline down.
+repo's one process pool (:class:`repro.workers.pool.ProcessWorkerPool`,
+a wrapper over ``ProcessPoolExecutor``) forks its workers at the first
+``submit``, so it must be built and fed *outside* every lock; this rule
+pins that discipline down.
 
 Flagged inside any ``with <lock>:`` block (a ``self`` attribute the
 enclosing class assigned a ``threading.Lock``/``RLock``/``Condition``,

@@ -44,13 +44,15 @@ from __future__ import annotations
 import multiprocessing as mp
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from typing import Callable, ContextManager, Dict, List, Optional, Tuple, Union
 
 from repro.api.errors import (
     DuplicateRequestError,
     InvalidRequestError,
+    JobFailedError,
     JobNotFoundError,
     ServiceClosedError,
     UnknownReceptorError,
@@ -480,7 +482,10 @@ class FTMapService:
         ``minimize``/``cluster`` under the root, each with its ``*-exec``
         child) and replays the stage and shard events at the times the
         worker recorded them.  While it waits, the parent watches the
-        job's cancel flag and terminates the pool on cancellation.
+        job's cancel flag and terminates the pool on cancellation.  A
+        worker that dies breaks the pool; the job then fails with
+        :class:`~repro.api.errors.JobFailedError` naming the probes that
+        did not finish.
         """
         # Imported lazily: repro.workers pulls repro.api.errors back in,
         # and this module is importable before the workers package.
@@ -504,16 +509,23 @@ class FTMapService:
         results: List[ProbeResult] = []
         try:
             futures = [
-                pool.submit(
-                    _stages.probe_task, name, probe, root.span_id,
-                    label=f"probe:{name}",
-                )
+                pool.submit(_stages.probe_task, name, probe, root.span_id)
                 for name, probe in items
             ]
             for index, ((name, _), future) in enumerate(zip(items, futures)):
-                while not future.wait(_CANCEL_POLL_S):
+                while not wait([future], timeout=_CANCEL_POLL_S).done:
                     handle._check_cancelled()
-                out = future.result()
+                try:
+                    out = future.result()
+                except BrokenProcessPool as exc:
+                    lost = [
+                        n for (n, _), f in zip(items[index:], futures[index:])
+                        if not f.done() or f.exception() is not None
+                    ]
+                    raise JobFailedError(
+                        f"a worker process died; probes {', '.join(lost)} "
+                        "did not finish"
+                    ) from exc
                 manager.merge(out["cache_stats"])
                 tracer.adopt(out["spans"])
                 for stage, span_id, shard, at_s in out["events"]:

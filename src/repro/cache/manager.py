@@ -409,9 +409,7 @@ class CacheManager:
     # -- introspection -----------------------------------------------------------
 
     @contextmanager
-    def stats_scope(
-        self, scope: Optional[CacheStats] = None
-    ) -> Iterator[CacheStats]:
+    def stats_scope(self) -> Iterator[CacheStats]:
         """Request-scoped statistics: a delta of *this* activity only.
 
         Yields a :class:`CacheStats` that accumulates every cache
@@ -420,17 +418,12 @@ class CacheManager:
         on one manager — each delta would include the other request's hits
         and misses — so per-request accounting attaches a scope instead,
         and operations increment the global counters *and* every scope
-        attached to the executing thread.
-
-        Work that fans out to helper threads passes the scope object
-        explicitly: ``stats_scope(scope)`` attaches an existing scope to
-        the current thread, so one request's scope can follow its work
-        across those threads.  A scope object does not cross
-        a process boundary: a worker process opens its own scope on its
-        copy of the manager and returns the delta, which the parent folds
-        into the request's scope with :meth:`merge`.
+        attached to the executing thread.  A scope does not cross a
+        process boundary: a worker process opens its own scope on its copy
+        of the manager and returns the delta, which the parent folds into
+        the request's scope with :meth:`merge`.
         """
-        s = scope if scope is not None else CacheStats()
+        s = CacheStats()
         with self._lock:
             stack = getattr(self._tlocal, "scopes", None)
             if stack is None:

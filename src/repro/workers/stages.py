@@ -8,8 +8,9 @@ bitwise-identical to ``"sequential"``.  FTMap's probes are independent,
 so a request's probes spread over the pool's workers and map side by
 side.
 
-Everything a task produces travels back over the worker's pipe as one
-pickle: the finished :class:`~repro.mapping.ftmap.ProbeResult`, the
+Everything a task produces travels back through the pool's result
+queue as one pickle: the finished
+:class:`~repro.mapping.ftmap.ProbeResult`, the
 :class:`~repro.cache.manager.CacheStats` delta of the task's own stats
 scope, the stage and ``minimize-shard`` events with the times they
 started, and the task's spans.  The spans are recorded on a worker-local

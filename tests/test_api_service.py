@@ -1,5 +1,8 @@
 """FTMapService lifecycle: jobs, streaming modes, cache-aware serving."""
 
+import multiprocessing as mp
+import os
+import signal
 import threading
 
 import numpy as np
@@ -13,6 +16,7 @@ from repro.api import (
     MapRequest,
 )
 from repro.api import service as service_module
+from repro.api.errors import JobFailedError
 from repro.cache import CacheManager, reset_cache_registry
 from repro.mapping.consensus import consensus_sites
 from repro.mapping.ftmap import FTMapConfig, FTMapResult, map_probe
@@ -20,6 +24,7 @@ from repro.structure import build_probe
 from repro.structure import synthetic_protein
 from repro.util.parallel import usable_cpus
 from repro.workers import shm_bytes_in_use
+from repro.workers import stages as worker_stages
 
 
 @pytest.fixture(autouse=True)
@@ -47,6 +52,16 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return FTMapConfig(**base)
+
+
+_REAL_PROBE_TASK = worker_stages.probe_task
+
+
+def _probe_task_killing_acetone(name, probe, parent_span_id=""):
+    """``probe_task`` stand-in whose worker dies on the acetone probe."""
+    if name == "acetone":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _REAL_PROBE_TASK(name, probe, parent_span_id)
 
 
 def probe_outputs(result):
@@ -271,8 +286,8 @@ class TestJobs:
             assert all(e.stage != "consensus" for e in handle.events())
 
     def test_process_job_cancels_and_unlinks_shared_memory(self, protein):
-        """Cancelling a process-streamed job stops it cooperatively and
-        unlinks every leased shared-memory segment deterministically."""
+        """Cancelling a process-streamed job stops it at once and leaves
+        no ``repro-`` shared-memory segment behind."""
         cfg = tiny_config(probe_names=("ethanol", "acetone", "urea"))
         cancelled_from = []
 
@@ -292,6 +307,25 @@ class TestJobs:
             assert cancelled_from == [handle.job_id]
             assert all(e.stage != "consensus" for e in handle.events())
         assert shm_bytes_in_use() == 0
+
+    def test_dead_worker_fails_job_naming_its_probe(self, protein, monkeypatch):
+        """A worker killed mid-probe fails the job with a typed error that
+        names the probe, leaves no child behind, and the service keeps
+        serving."""
+        cfg = tiny_config(probe_names=("ethanol", "acetone", "urea"))
+        monkeypatch.setattr(worker_stages, "probe_task", _probe_task_killing_acetone)
+        with FTMapService() as service:
+            handle = service.submit(
+                MapRequest(receptor=protein, config=cfg, streaming="process")
+            )
+            with pytest.raises(JobFailedError, match="acetone"):
+                handle.result(timeout=300)
+            assert handle.status() == "failed"
+            assert mp.active_children() == []
+            monkeypatch.undo()
+            mapped = service.map(protein, cfg, streaming="process")
+            assert set(mapped.result.probe_results) == set(cfg.probe_names)
+        assert mp.active_children() == []
 
     def test_failing_job_reports_error(self, protein):
         cfg = tiny_config(probe_names=("unobtainium",))

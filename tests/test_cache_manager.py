@@ -422,23 +422,6 @@ class TestStatsScopes:
         assert (outer.hits, outer.puts) == (2, 1)
         assert (inner.hits, inner.puts) == (1, 0)
 
-    def test_attaching_existing_scope_follows_worker_thread(self):
-        """A request's scope can be attached to helper threads, so
-        fan-out work still lands in one delta."""
-        import threading
-
-        mgr = CacheManager(policy="memory")
-        mgr.put("ns/shared", 42)
-        with mgr.stats_scope() as scope:
-            def worker():
-                with mgr.stats_scope(scope):
-                    assert mgr.get("ns/shared") == 42
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-            assert mgr.get("ns/shared") == 42
-        assert scope.hits == 2
-
     def test_interleaved_requests_attribute_independently(self):
         """Regression: two overlapped requests on one manager.  Snapshot
         subtraction would charge each request with the other's lookups;

@@ -218,7 +218,7 @@ class TestProcessStreamingOverHTTP:
         workers = stats["workers"]
         assert set(workers) == {
             "pools", "pool_size", "busy", "shm_bytes_in_use",
-            "stage_tasks_total", "worker_restarts_total",
+            "stage_tasks_total",
         }
         # Idle between requests: every pool closed, every segment gone.
         assert workers["pools"] == 0
