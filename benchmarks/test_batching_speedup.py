@@ -82,9 +82,9 @@ def test_batched_fft_wallclock_speedup(
     measures rotation stacking + staged zero-padded forwards alone.
     """
     rotations = _rotation_grids(bench_probe, 16)
-    serial = FFTCorrelationEngine(workers=1)
-    batched = BatchedFFTCorrelationEngine(workers=1)
-    batched_fp64 = BatchedFFTCorrelationEngine(workers=1, precision="double")
+    serial = FFTCorrelationEngine()
+    batched = BatchedFFTCorrelationEngine()
+    batched_fp64 = BatchedFFTCorrelationEngine(precision="double")
 
     # Warm the receptor-spectrum caches (PIPER transforms the protein once).
     serial.correlate(bench_receptor_grids, rotations[0])

@@ -92,10 +92,8 @@ def _measure_stage_times(protein, config):
         run = dock_probe(protein, probe, config)
         t_dock = time.perf_counter() - t0
         t0 = time.perf_counter()
-        _, centers, energies, _ = minimize_poses(
-            protein, probe, run.poses, config
-        )
-        cluster_probe(centers, energies, config)
+        stage = minimize_poses(protein, probe, run.poses, config)
+        cluster_probe(stage.centers, stage.energies, config)
         t_refine = time.perf_counter() - t0
         times.append([t_dock, t_refine])
     return times

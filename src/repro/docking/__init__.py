@@ -12,10 +12,12 @@ Implements the exhaustive 6-D rigid docking of Sec. II.A / III:
 * :mod:`repro.docking.filtering` — region-exclusion top-pose selection
   (Fig. 5),
 * :mod:`repro.docking.piper` — the rotation-loop driver that retains the
-  top 4 poses per rotation (500 rotations -> 2000 conformations),
+  top 4 poses per rotation (500 rotations -> 2000 conformations) with the
+  correlation engine it is handed,
 * :mod:`repro.docking.selection` — cost-model backend auto-selection,
 * :mod:`repro.docking.engine` — the :class:`DockingEngine` facade every
-  scenario (docking, mapping, benchmarks) goes through.
+  scenario (docking, mapping, benchmarks) goes through, and the one place
+  that turns a backend name into an engine and a rotation batch.
 
 Convention: pose **energy**, lower is better, everywhere.
 """

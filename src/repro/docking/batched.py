@@ -6,8 +6,7 @@ rotation at a time.  This module applies the same idea to the FFT path:
 
 * **Rotation stacking** — the rotated ligand grids of a whole batch are
   stacked into one (B, C, m1, m2, m3) array and transformed together, so
-  the B x C forward transforms run as a single vectorized sweep (and fan
-  out over ``workers`` threads on multicore hosts).
+  the B x C forward transforms run as a single vectorized sweep.
 * **Staged zero-padded forward FFTs** — a padded ligand transform only has
   m^3 non-zero inputs.  Transforming axis-by-axis and letting each 1-D pass
   zero-pad internally (``fft(x, n=N)``) does ~``m*m*N + m*N*N + N^3`` points
@@ -26,12 +25,14 @@ rotation at a time.  This module applies the same idea to the FFT path:
 
 Top poses are identical to the serial engines in either precision on the
 test systems.  Grids may be non-cubic — all shape logic reads the channel
-arrays, not ``spec.n``.
+arrays, not ``spec.n``.  Every transform runs on one thread: a process
+scales out across probes (:mod:`repro.workers`), not inside one FFT.
+:meth:`BatchedFFTCorrelationEngine.default_batch` is the rotation batch
+the docking facade uses when none is configured.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,10 +102,6 @@ class BatchedFFTCorrelationEngine(CorrelationEngine):
 
     Parameters
     ----------
-    workers:
-        FFT worker threads (scipy ``workers=``); defaults to the host core
-        count — batching is what makes the thread fan-out effective, since
-        a single rotation's C transforms rarely saturate the cores.
     precision:
         ``"single"`` (default, the GPU's arithmetic) or ``"double"``
         (bit-faithful to the serial FFT engine's fp64 pipeline).
@@ -121,14 +118,12 @@ class BatchedFFTCorrelationEngine(CorrelationEngine):
 
     def __init__(
         self,
-        workers: Optional[int] = None,
         precision: str = "single",
         memory_budget_bytes: int = DEFAULT_FFT_MEMORY_BUDGET,
         spectra_cache: Optional[CacheManager] = None,
     ) -> None:
         if precision not in ("single", "double"):
             raise ValueError(f"unknown precision {precision!r}")
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.precision = precision
         self.memory_budget_bytes = memory_budget_bytes
         self._real_dtype = np.float32 if precision == "single" else np.float64
@@ -149,6 +144,10 @@ class BatchedFFTCorrelationEngine(CorrelationEngine):
             self.memory_budget_bytes,
             self._complex_itemsize,
         )
+
+    def default_batch(self, receptor: EnergyGrids) -> int:
+        """:data:`DEFAULT_FFT_BATCH`, capped by the memory budget."""
+        return max(1, min(DEFAULT_FFT_BATCH, self.max_batch(receptor)))
 
     # -- single rotation (CorrelationEngine interface) --------------------------
 
@@ -189,9 +188,7 @@ class BatchedFFTCorrelationEngine(CorrelationEngine):
         # temporaries.
         combined = np.einsum("c,cijk,bcijk->bijk", weights, rec_conj, lig_spec)
         np.conj(combined, out=combined)
-        corr = sp_fft.irfftn(
-            combined, s=(n1, n2, n3), axes=(3, 2, 1), workers=self.workers
-        )  # (B, z, y, x)
+        corr = sp_fft.irfftn(combined, s=(n1, n2, n3), axes=(3, 2, 1))  # (B,z,y,x)
         return np.ascontiguousarray(
             corr.transpose(0, 3, 2, 1)[:, :t1, :t2, :t3]
         )
@@ -201,11 +198,7 @@ class BatchedFFTCorrelationEngine(CorrelationEngine):
         spectra = self._receptor_cache.get(receptor)
         if spectra is None:
             spectra = np.conj(
-                sp_fft.rfftn(
-                    receptor.channels.astype(self._real_dtype),
-                    axes=(1, 2, 3),
-                    workers=self.workers,
-                )
+                sp_fft.rfftn(receptor.channels.astype(self._real_dtype), axes=(1, 2, 3))
             )
             spectra = np.ascontiguousarray(spectra.transpose(0, 3, 2, 1))
             self._receptor_cache.put(receptor, spectra)
@@ -222,11 +215,11 @@ class BatchedFFTCorrelationEngine(CorrelationEngine):
         to round-off order) to ``rfftn`` of the fully padded stack.
         """
         n1, n2, n3 = shape
-        s1 = sp_fft.rfft(stack, n=n3, axis=4, workers=self.workers)
+        s1 = sp_fft.rfft(stack, n=n3, axis=4)
         s1 = np.ascontiguousarray(np.moveaxis(s1, 3, 4))  # (B,C,m1,fz,m2)
-        s2 = sp_fft.fft(s1, n=n2, axis=4, workers=self.workers)
+        s2 = sp_fft.fft(s1, n=n2, axis=4)
         s2 = np.ascontiguousarray(np.moveaxis(s2, 2, 4))  # (B,C,fz,n2,m1)
-        return sp_fft.fft(s2, n=n1, axis=4, workers=self.workers)
+        return sp_fft.fft(s2, n=n1, axis=4)
 
     def clear_cache(self) -> None:
         """Drop the cached staged spectra of this engine's precision.

@@ -111,6 +111,14 @@ class CorrelationEngine(ABC):
     def correlate(self, receptor: EnergyGrids, ligand: EnergyGrids) -> np.ndarray:
         """Weighted pose-energy grid over valid translations."""
 
+    def default_batch(self, receptor: EnergyGrids) -> int:
+        """Rotations per :meth:`correlate_batch` call when none is configured.
+
+        1 here: the base-class batch is a per-rotation loop, so a larger
+        batch would change only the memory footprint, not the arithmetic.
+        """
+        return 1
+
     def correlate_batch(
         self, receptor: EnergyGrids, ligand_rotations: Sequence[EnergyGrids]
     ) -> np.ndarray:

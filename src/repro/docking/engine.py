@@ -1,15 +1,21 @@
 """The single docking entry point: backend selection + batched execution.
 
 Every scenario in the package — plain docking, FTMap binding-site mapping,
-ablation benchmarks — funnels through :class:`DockingEngine`.  The facade
+ablation benchmarks — funnels through :class:`DockingEngine`, and this
+module is the only place that turns a backend name into a correlation
+engine and a rotation batch size.  The facade
 
 1. resolves a backend (``direct`` / ``fft`` / ``batched-fft`` / ``gpu-sim``
    / ``auto``) via the cost-model selection layer
-   (:mod:`repro.docking.selection`),
-2. builds the matching execution path — a :class:`PiperDocker` with the
-   chosen correlation engine, or the virtual-GPU
-   :class:`~repro.gpu.docking_pipeline.GpuPiperDocker` for ``gpu-sim``,
-3. runs rotations through the batched loop.
+   (:mod:`repro.docking.selection`), once,
+2. builds the matching execution path — a :class:`PiperDocker` running the
+   chosen :class:`~repro.docking.correlation.CorrelationEngine`, or the
+   virtual-GPU :class:`~repro.gpu.docking_pipeline.GpuPiperDocker` for
+   ``gpu-sim``,
+3. runs rotations through the batched loop, in batches of the explicit
+   ``batch_size``, else :attr:`PiperConfig.batch_size`, else the engine's
+   :meth:`~repro.docking.correlation.CorrelationEngine.default_batch` (the
+   selector's device batch for ``gpu-sim``).
 
 All backends produce the same poses (tested); they differ in wall-clock
 and, for ``gpu-sim``, in the predicted-device-time ledger attached to the
@@ -22,15 +28,35 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.docking.batched import BatchedFFTCorrelationEngine
+from repro.docking.correlation import CorrelationEngine
+from repro.docking.direct import DirectCorrelationEngine
+from repro.docking.fft import FFTCorrelationEngine
 from repro.docking.piper import DockedPose, PiperConfig, PiperDocker
-from repro.obs.metrics import registry
 from repro.docking.selection import CPU_BACKENDS, BackendDecision, select_backend
+from repro.grids.energyfunctions import num_channels
+from repro.obs.metrics import registry
 from repro.structure.molecule import Molecule
 
 __all__ = ["DockingEngine", "DockingRun", "BACKEND_NAMES"]
 
 #: Backends the facade can execute.
 BACKEND_NAMES = CPU_BACKENDS + ("gpu-sim", "auto")
+
+
+def _correlation_engine(name: str, cache) -> CorrelationEngine:
+    """The correlation engine of a resolved CPU backend.
+
+    Spectra go through the artifact cache only when one is active;
+    otherwise the FFT engines use the shared in-process spectra manager
+    (spectra reuse across rotations is never off).
+    """
+    spectra = cache if cache is not None and cache.enabled else None
+    if name == "fft":
+        return FFTCorrelationEngine(spectra_cache=spectra)
+    if name == "batched-fft":
+        return BatchedFFTCorrelationEngine(spectra_cache=spectra)
+    return DirectCorrelationEngine()
 
 
 @dataclass
@@ -52,19 +78,22 @@ class DockingEngine:
     receptor, probe:
         The molecules to dock.
     config:
-        :class:`PiperConfig`; its ``engine`` field is the default backend.
+        :class:`PiperConfig`: the docking workload.
     backend:
-        Override: one of :data:`BACKEND_NAMES`.  ``"auto"`` picks the
-        cheapest CPU backend from the cost models; ``"gpu-sim"`` routes
-        through the virtual-device pipeline.
+        One of :data:`BACKEND_NAMES` (default ``"direct"``).  ``"auto"``
+        picks the cheapest CPU backend from the cost models;
+        ``"gpu-sim"`` routes through the virtual-device pipeline.
+    batch_size:
+        Rotations per batched pass; overrides ``config.batch_size``.
     workers:
         Kept so 1.x callers that pass it still run; must be ``None`` or
         ``1``, because rotations are gridded in the calling thread.
     device:
         Virtual device for ``gpu-sim`` (defaults to the paper's C1060).
     cache:
-        Optional :class:`~repro.cache.manager.CacheManager` threaded into
-        the :class:`PiperDocker` (receptor grid build + spectra caching).
+        Optional :class:`~repro.cache.manager.CacheManager`: serves the
+        receptor grid build and, when enabled, the FFT engines' receptor
+        spectra (so a disk tier shares them across processes).
     """
 
     def __init__(
@@ -72,7 +101,7 @@ class DockingEngine:
         receptor: Molecule,
         probe: Molecule,
         config: PiperConfig | None = None,
-        backend: str | None = None,
+        backend: str = "direct",
         batch_size: int | None = None,
         workers: int | None = None,
         device=None,
@@ -83,44 +112,44 @@ class DockingEngine:
                 f"workers={workers!r}: docking runs in the calling thread; "
                 "scale out with FTMapService streaming instead"
             )
-        self.config = config or PiperConfig()
-        requested = backend if backend is not None else self.config.engine
-        if requested not in BACKEND_NAMES:
+        if backend not in BACKEND_NAMES:
             raise ValueError(
-                f"unknown backend {requested!r}; expected one of {BACKEND_NAMES}"
+                f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
             )
-        # Built with a placeholder engine: the real one is resolved below,
-        # after the receptor grids (channel count) exist for the selector.
-        from repro.docking.direct import DirectCorrelationEngine
-
-        self.docker = PiperDocker(
-            receptor, probe, self.config, engine=DirectCorrelationEngine(),
-            cache=cache,
-        )
+        self.config = cfg = config or PiperConfig()
+        if batch_size is None:
+            batch_size = cfg.batch_size
         self.decision = select_backend(
-            self.config.receptor_grid,
-            self.config.probe_grid,
-            self.docker.receptor_grids.n_channels,
-            num_rotations=self.config.num_rotations,
-            batch_size=batch_size if batch_size is not None else self.config.batch_size,
-            include_gpu=requested == "gpu-sim",
+            cfg.receptor_grid,
+            cfg.probe_grid,
+            num_channels(cfg.n_desolvation_terms),
+            num_rotations=cfg.num_rotations,
+            batch_size=batch_size,
+            include_gpu=backend == "gpu-sim",
             device_spec=device.spec if device is not None else None,
         )
-        self.backend = requested if requested != "auto" else self.decision.backend
+        self.backend = self.decision.backend if backend == "auto" else backend
         self._device = device
-        if self.backend != "gpu-sim":
-            self.docker.engine = self.docker._build_engine(self.backend)
+        self.docker = PiperDocker(
+            receptor,
+            probe,
+            cfg,
+            engine=(
+                None if self.backend == "gpu-sim"
+                else _correlation_engine(self.backend, cache)
+            ),
+            cache=cache,
+        )
         # Batch size follows the *resolved engine*, not the selector's
         # winner: an explicitly requested batched backend must batch even
         # when the cost model would have picked something else.
-        if batch_size is not None:
-            self.batch_size = batch_size
-        elif self.config.batch_size is not None:
-            self.batch_size = self.config.batch_size
-        elif self.backend == "gpu-sim":
-            self.batch_size = self.decision.batch_size
-        else:
-            self.batch_size = self.docker.default_batch_size()
+        if batch_size is None:
+            batch_size = (
+                self.decision.batch_size
+                if self.backend == "gpu-sim"
+                else self.docker.engine.default_batch(self.docker.receptor_grids)
+            )
+        self.batch_size = batch_size
 
     # -- execution ---------------------------------------------------------------
 

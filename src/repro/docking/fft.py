@@ -6,7 +6,9 @@ modulation with the receptor's precomputed spectrum, and an inverse FFT
 and inverse FFT", Sec. III.A).  The receptor spectra are cached across
 rotations, matching PIPER, which transfers/prepares the protein grid once.
 
-Complexity per rotation: C channels x O(N^3 log N).
+Complexity per rotation: C channels x O(N^3 log N).  Every transform runs
+on one thread; the multicore FFT figures of Sec. V.A are cost-model output
+(:mod:`repro.perf.cpumodel`), not a runtime path.
 """
 
 from __future__ import annotations
@@ -40,12 +42,7 @@ class FFTCorrelationEngine(CorrelationEngine):
 
     name = "fft"
 
-    def __init__(
-        self, workers: int = 1, spectra_cache: Optional[CacheManager] = None
-    ) -> None:
-        #: Number of FFT worker threads (scipy.fft ``workers=``); the
-        #: multicore comparison of Sec. V.A uses >1.
-        self.workers = workers
+    def __init__(self, spectra_cache: Optional[CacheManager] = None) -> None:
         #: Content-addressed spectra cache: structurally equal receptors
         #: hit across engine instances (and across processes when a
         #: disk-backed manager is injected).
@@ -59,23 +56,17 @@ class FFTCorrelationEngine(CorrelationEngine):
 
         spectra = self._receptor_cache.get(receptor)
         if spectra is None:
-            spectra = sp_fft.rfftn(
-                receptor.channels.astype(np.float64),
-                axes=(1, 2, 3),
-                workers=self.workers,
-            )
+            spectra = sp_fft.rfftn(receptor.channels.astype(np.float64), axes=(1, 2, 3))
             self._receptor_cache.put(receptor, spectra)
 
         padded = np.zeros((ligand.n_channels, *shape), dtype=np.float64)
         padded[:, : mshape[0], : mshape[1], : mshape[2]] = ligand.channels
-        lig_spec = np.conj(
-            sp_fft.rfftn(padded, axes=(1, 2, 3), workers=self.workers)
-        )
+        lig_spec = np.conj(sp_fft.rfftn(padded, axes=(1, 2, 3)))
 
         weights = receptor.weights * ligand.weights
         # Sum channels in the frequency domain: one inverse FFT instead of C.
         combined = np.einsum("c,cijk->ijk", weights, spectra * lig_spec)
-        corr = sp_fft.irfftn(combined, s=shape, workers=self.workers)
+        corr = sp_fft.irfftn(combined, s=shape)
         return np.ascontiguousarray(corr[:t1, :t2, :t3])
 
     def correlate_per_channel(

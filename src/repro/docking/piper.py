@@ -12,6 +12,11 @@ Per rotation (Sec. II.A / Fig. 2b):
 
 FTMap runs 500 rotations and retains 4 poses each -> 2000 conformations
 for the minimization phase.
+
+:class:`PiperDocker` runs the :class:`~repro.docking.correlation.CorrelationEngine`
+it is handed (direct correlation by default).  Which backend to run, and
+with what rotation batch, is decided in one place:
+:class:`~repro.docking.engine.DockingEngine`.
 """
 
 from __future__ import annotations
@@ -29,12 +34,9 @@ from repro.constants import (
     MIN_DESOLVATION_TERMS,
     POSES_PER_ROTATION,
 )
-from repro.docking.batched import BatchedFFTCorrelationEngine
 from repro.docking.correlation import CorrelationEngine
 from repro.docking.direct import DirectCorrelationEngine
-from repro.docking.fft import FFTCorrelationEngine
 from repro.docking.filtering import filter_top_poses
-from repro.docking.selection import select_backend
 from repro.geometry.sampling import rotation_set
 from repro.geometry.transforms import RigidTransform, centered
 from repro.grids.energyfunctions import EnergyGrids, protein_grids_cached
@@ -43,25 +45,19 @@ from repro.grids.rotation import ligand_grid_spec, rotate_and_grid_ligand
 from repro.structure.molecule import Molecule
 from repro.util.parallel import chunked
 
-__all__ = ["PiperConfig", "DockedPose", "PiperDocker", "ENGINE_NAMES"]
-
-#: Engine names accepted by :attr:`PiperConfig.engine`.
-ENGINE_NAMES = ("direct", "fft", "batched-fft", "auto")
+__all__ = ["PiperConfig", "DockedPose", "PiperDocker"]
 
 
 @dataclass(frozen=True)
 class PiperConfig:
-    """Configuration of one PIPER run.
+    """The docking workload of one PIPER run: what to dock, not how.
 
     Defaults follow the paper: 500 rotations, 4 poses/rotation, 128^3
     receptor grid, 4^3 probe grid, 4 desolvation terms (the minimum of the
-    4..18 range), direct correlation engine.
-
-    ``engine`` may also be ``"batched-fft"`` (multi-rotation vectorized FFT
-    path) or ``"auto"`` (cost-model backend selection per problem size, see
-    :mod:`repro.docking.selection`).  ``batch_size`` caps how many rotations
-    are gridded and scored per batched pass (``None`` = engine default);
-    ``fft_workers`` feeds the FFT engines' thread fan-out.
+    4..18 range).  ``batch_size`` caps how many rotations are gridded and
+    scored per batched pass (``None`` = the engine's default).  The
+    correlation backend is not part of the workload: it is
+    ``DockingEngine(backend=...)`` (or ``FTMapConfig.engine``).
     """
 
     num_rotations: int = FTMAP_NUM_ROTATIONS
@@ -71,19 +67,15 @@ class PiperConfig:
     grid_spacing: float = 1.0
     n_desolvation_terms: int = MIN_DESOLVATION_TERMS
     exclusion_radius: int = FILTER_EXCLUSION_RADIUS
-    engine: str = "direct"  # see ENGINE_NAMES
     rotation_scheme: str = "super-fibonacci"
     desolvation_seed: int = 2010
     batch_size: Optional[int] = None
-    fft_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.num_rotations < 1:
             raise ValueError("need at least one rotation")
         if self.poses_per_rotation < 1:
             raise ValueError("need at least one pose per rotation")
-        if self.engine not in ENGINE_NAMES:
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -114,14 +106,12 @@ class PiperDocker:
     config:
         :class:`PiperConfig`.
     engine:
-        Optional explicit :class:`CorrelationEngine` (overrides
-        ``config.engine``).
+        The :class:`CorrelationEngine` to run; defaults to
+        :class:`DirectCorrelationEngine`.
     cache:
         Optional :class:`~repro.cache.manager.CacheManager`.  When enabled,
         the receptor grid build is served content-addressed (structurally
-        equal receptors reuse the grids across dockers and probes) and the
-        FFT engines route their receptor-spectra caching through the same
-        manager (so a disk tier shares spectra across processes).
+        equal receptors reuse the grids across dockers and probes).
     """
 
     def __init__(
@@ -135,7 +125,6 @@ class PiperDocker:
         self.receptor = receptor
         self.probe = probe
         self.config = config or PiperConfig()
-        self.cache = cache
         cfg = self.config
 
         self.receptor_spec = GridSpec.centered_on(
@@ -150,34 +139,9 @@ class PiperDocker:
             cache=cache,
         )
         self.rotations = rotation_set(cfg.num_rotations, cfg.rotation_scheme)
-        if engine is not None:
-            self.engine: CorrelationEngine = engine
-        else:
-            self.engine = self._build_engine(cfg.engine)
-
-    def _build_engine(self, name: str) -> CorrelationEngine:
-        if name == "auto":
-            decision = select_backend(
-                self.config.receptor_grid,
-                self.config.probe_grid,
-                self.receptor_grids.n_channels,
-                num_rotations=len(self.rotations),
-                batch_size=self.config.batch_size,
-            )
-            name = decision.backend
-        # Route spectra through the artifact cache only when one is active;
-        # otherwise engines fall back to the shared in-process spectra
-        # manager (spectra reuse across rotations is never off).
-        spectra = self.cache if self.cache is not None and self.cache.enabled else None
-        if name == "fft":
-            return FFTCorrelationEngine(
-                workers=self.config.fft_workers, spectra_cache=spectra
-            )
-        if name == "batched-fft":
-            return BatchedFFTCorrelationEngine(
-                workers=self.config.fft_workers, spectra_cache=spectra
-            )
-        return DirectCorrelationEngine()
+        self.engine: CorrelationEngine = (
+            engine if engine is not None else DirectCorrelationEngine()
+        )
 
     # -- single rotation ------------------------------------------------------
 
@@ -227,21 +191,6 @@ class PiperDocker:
 
     # -- full run -----------------------------------------------------------------
 
-    def default_batch_size(self) -> int:
-        """Rotations per batched pass: configured, else the engine's cap.
-
-        Engines without a vectorized batch path keep a batch of 1 — their
-        base-class ``correlate_batch`` is a per-rotation loop, so batching
-        would only change memory footprint, not arithmetic.
-        """
-        if self.config.batch_size is not None:
-            return self.config.batch_size
-        if isinstance(self.engine, BatchedFFTCorrelationEngine):
-            from repro.docking.batched import DEFAULT_FFT_BATCH
-
-            return max(1, min(DEFAULT_FFT_BATCH, self.engine.max_batch(self.receptor_grids)))
-        return 1
-
     def run(
         self,
         rotation_indices: Sequence[int] | None = None,
@@ -252,12 +201,15 @@ class PiperDocker:
         Rotations are processed in batches: each batch is gridded on the
         host, scored in one ``correlate_batch`` call, and filtered per
         rotation.  A batch size of 1 reproduces the classic per-rotation
-        loop exactly.
+        loop exactly.  ``batch_size`` defaults to the configured one, else
+        the engine's :meth:`~repro.docking.correlation.CorrelationEngine.default_batch`.
         """
         indices = list(
             range(len(self.rotations)) if rotation_indices is None else rotation_indices
         )
-        bs = batch_size if batch_size is not None else self.default_batch_size()
+        bs = batch_size
+        if bs is None:
+            bs = self.config.batch_size or self.engine.default_batch(self.receptor_grids)
         if bs < 1:
             raise ValueError("batch_size must be >= 1")
         cfg = self.config

@@ -221,35 +221,18 @@ class FTMapConfig:
         )
 
     def piper_config(self) -> PiperConfig:
-        """The PIPER workload of this run, for direct :class:`PiperDocker` use.
+        """The docking workload of this run, for :class:`DockingEngine` or
+        direct :class:`PiperDocker` use.
 
-        ``engine="gpu-sim"`` cannot be expressed as a PIPER correlation
-        engine — it is a :class:`DockingEngine` facade backend (the virtual
-        device wraps the whole rotation loop, not one correlation).  Rather
-        than silently downgrading it, this raises; :func:`dock_probe` routes
-        gpu-sim through the facade honestly.
+        It names what to dock; the backend that docks it is ``engine``,
+        passed separately as ``DockingEngine(backend=...)``.
         """
-        if self.engine == "gpu-sim":
-            raise ValueError(
-                "engine='gpu-sim' is a DockingEngine facade backend, not a "
-                "PiperConfig correlation engine; use FTMapService.map / "
-                "DockingEngine(..., backend='gpu-sim') which route it "
-                "through the virtual-device pipeline"
-            )
-        return self._docking_workload()
-
-    def _docking_workload(self) -> PiperConfig:
-        # The facade receives the backend separately (dock_probe passes
-        # ``backend=self.engine``), so for gpu-sim the PiperConfig's own
-        # engine field is an inert placeholder, never executed.
-        engine = "direct" if self.engine == "gpu-sim" else self.engine
         return PiperConfig(
             num_rotations=self.num_rotations,
             poses_per_rotation=self.poses_per_rotation,
             receptor_grid=self.receptor_grid,
             probe_grid=self.probe_grid,
             grid_spacing=self.grid_spacing,
-            engine=engine,
             batch_size=self.batch_size,
         )
 
@@ -361,7 +344,7 @@ def _dock_result_key(
     bitwise on scores, so a cached result is only served to the exact
     engine configuration that produced it.
     """
-    workload = config._docking_workload()
+    workload = config.piper_config()
     return compose_key(
         "dock-results",
         [
@@ -409,7 +392,7 @@ def dock_probe(
     engine = DockingEngine(
         receptor,
         probe,
-        config._docking_workload(),
+        config.piper_config(),
         backend=config.engine,
         cache=manager if manager.enabled else None,
     )
@@ -428,11 +411,10 @@ def dock_probe(
 class MinimizeStage:
     """Outcome of the minimization stage for one probe, with provenance.
 
-    Iterates as the legacy ``(results, centers, energies, backend)``
-    4-tuple, so existing ``a, b, c, d = minimize_poses(...)`` unpacking
-    keeps working; the extra fields record where the work actually ran —
-    device count, per-shard pose counts, the fixed reduction order, and
-    whether the whole stage was served from the artifact cache.
+    Beside the results, centers, energies and backend, the fields record
+    where the work actually ran — device count, per-shard pose counts, the
+    fixed reduction order, and whether the whole stage was served from the
+    artifact cache.
     """
 
     results: List[MinimizationResult]
@@ -448,9 +430,6 @@ class MinimizeStage:
     @property
     def shard_sizes(self) -> Tuple[int, ...]:
         return tuple(s.n_poses for s in self.shards)
-
-    def __iter__(self):
-        return iter((self.results, self.centers, self.energies, self.backend))
 
 
 #: Numerics families of the minimization backends: every backend in a
@@ -539,10 +518,9 @@ def minimize_poses(
     ``cancel_check`` / ``on_shard`` reach the multi-device backend's
     shard boundaries (cooperative cancellation, per-shard progress).
 
-    Returns a :class:`MinimizeStage` (unpacks as the legacy
-    ``(results, centers, energies, backend)`` tuple); a probe whose
-    docking produced no poses yields the explicit empty ensemble rather
-    than tripping over empty array construction downstream.
+    Returns a :class:`MinimizeStage`; a probe whose docking produced no
+    poses yields the explicit empty ensemble rather than tripping over
+    empty array construction downstream.
     """
     top = list(poses[: config.minimize_top])
     n_probe = probe.n_atoms

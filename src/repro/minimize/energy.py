@@ -163,15 +163,6 @@ class EnergyModel:
         now available on the serial path too; mirrors the ensemble
         model's ``precision="single"``).  Coordinates and parameters are
         cast once; neighbor lists are always built in float64.
-    energies_only:
-        When True (default), :meth:`energy_only` uses the kernels'
-        energies-only fast path — skipping every gradient and
-        per-atom-split computation during line searches.  The energy
-        values are computed by the same operations in the same order as
-        :meth:`evaluate`, so minimization trajectories are bitwise
-        identical; only the per-iteration cost changes.  Set False to
-        restore the historical full-evaluation line search (the fixed
-        pre-re-baselining cost profile).
 
     If ``molecule.meta['calibrate_bonded_equilibrium']`` is set, bonded
     equilibrium values (r0, theta0, psi0) are taken from the molecule's
@@ -191,13 +182,11 @@ class EnergyModel:
         nonbonded_cutoff: float = VDW_CUTOFF,
         list_cutoff: float = NEIGHBOR_LIST_CUTOFF,
         dtype: np.dtype | type = np.float64,
-        energies_only: bool = True,
     ) -> None:
         dt = np.dtype(dtype)
         if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError(f"dtype must be float32 or float64, got {dt}")
         self.dtype = dt
-        self.energies_only = energies_only
         self.molecule = molecule
         self.nonbonded_cutoff = nonbonded_cutoff
         self.list_cutoff = list_cutoff
@@ -334,19 +323,15 @@ class EnergyModel:
     def energy_only(self, coords: np.ndarray | None = None) -> float:
         """Total energy (used by line searches).
 
-        With ``energies_only`` (the default) this skips every gradient and
-        per-atom-split computation via the kernels' ``with_gradient`` /
-        ``energies_only`` fast paths.  Each kernel computes its energy total
-        *before* branching on those flags, and the seven components are
-        summed here in the same order as :meth:`evaluate`, so the returned
-        value — and every line-search decision made from it — is bitwise
-        identical to the full evaluation.  (This brings the serial path to
-        parity with ``EnsembleEnergyModel.energy_only``; the historical
-        always-full behavior remains available via ``energies_only=False``
-        and is what the pre-re-baselining benchmark floors measured.)
+        Skips every gradient and per-atom-split computation via the
+        kernels' ``with_gradient`` / ``energies_only`` fast paths.  Each
+        kernel computes its energy total *before* branching on those flags,
+        and the seven components are summed here in the same order as
+        :meth:`evaluate`, so the returned value — and every line-search
+        decision made from it — is bitwise identical to
+        ``evaluate(coords).total`` (as ``EnsembleEnergyModel.energy_only``
+        is for the batched path).
         """
-        if not self.energies_only:
-            return self.evaluate(coords).total
         m = self.molecule
         c = np.asarray(m.coords if coords is None else coords, dtype=self.dtype)
         pair_i, pair_j = self.active_pairs(c)

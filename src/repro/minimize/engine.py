@@ -118,13 +118,8 @@ class MinimizationEngine:
         defaults to :data:`~repro.minimize.multidevice.DEFAULT_MINIMIZE_DEVICES`.
     shard_workers:
         Concurrent shard executions for ``multi-gpu-sim`` (``1`` forces
-        the sequential shard loop; default one thread per shard).
-    serial_fast_path:
-        When True (default) the ``serial`` and ``gpu-sim`` per-pose
-        models use the energies-only line-search fast path
-        (bitwise-identical results, ~1.2x faster iterations).
-        ``False`` restores the historical full-evaluation line search —
-        the A/B switch the benchmark re-baselining measures against.
+        the sequential shard loop; default one thread per shard, capped
+        by the CPUs this process may run on).
     """
 
     def __init__(
@@ -142,7 +137,6 @@ class MinimizationEngine:
         shard_workers: int | None = None,
         nonbonded_cutoff: float = VDW_CUTOFF,
         list_cutoff: float = NEIGHBOR_LIST_CUTOFF,
-        serial_fast_path: bool = True,
     ) -> None:
         if backend not in MINIMIZE_BACKEND_NAMES:
             raise ValueError(
@@ -171,7 +165,6 @@ class MinimizationEngine:
         self.n_poses = len(stack)
         self.config = config or MinimizerConfig()
         self.precision = precision
-        self.serial_fast_path = serial_fast_path
         self.nonbonded_cutoff = nonbonded_cutoff
         self.list_cutoff = list_cutoff
         self._device = device
@@ -315,7 +308,6 @@ class MinimizationEngine:
             movable=self._movable_row(p),
             nonbonded_cutoff=self.nonbonded_cutoff,
             list_cutoff=self.list_cutoff,
-            energies_only=self.serial_fast_path,
         )
 
     def _run_serial(self) -> List[MinimizationResult]:

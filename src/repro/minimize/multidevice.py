@@ -20,9 +20,10 @@ production precision too.  That invariance is also what lets the
 minimization artifact cache key stay *shard-invariant* (device count and
 batch size excluded).
 
-Shards execute on a thread pool by default (real overlap wherever the
-NumPy kernels release the GIL — the same mechanism as the service's stage
-pipeline); ``shard_workers=1`` forces the sequential loop.  Cancellation
+Shards execute on a thread pool by default, one thread per shard up to
+the CPUs this process may run on (real overlap wherever the NumPy kernels
+release the GIL); ``shard_workers=1``, or a single usable CPU, runs the
+sequential loop.  Cancellation
 is cooperative at shard starts and at every batch-chunk boundary within
 a shard: queued shards never start after a cancel, and a running shard
 stops at its next memory-budgeted chunk rather than mid-kernel (in the
@@ -32,7 +33,6 @@ boundaries are what bounds the latency of a cancel).
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -48,6 +48,7 @@ from repro.minimize.batched import BatchedMinimizer
 from repro.minimize.ensemble import EnsembleEnergyModel
 from repro.minimize.minimizer import MinimizationResult, MinimizerConfig
 from repro.structure.molecule import Molecule
+from repro.util.parallel import usable_cpus
 
 __all__ = [
     "COORD_BYTES_PER_ATOM",
@@ -129,7 +130,8 @@ class MultiDeviceMinimizer:
         numerically invisible (per-pose independence), memory-visible.
     shard_workers:
         Concurrent shard executions (default: one thread per shard up to
-        the host core count; ``1`` forces the sequential loop).
+        :func:`~repro.util.parallel.usable_cpus`; ``1`` forces the
+        sequential loop).
     """
 
     def __init__(
@@ -274,7 +276,7 @@ class MultiDeviceMinimizer:
             )
             return results, execution
 
-        workers = self.shard_workers or min(n_shards, os.cpu_count() or 1)
+        workers = self.shard_workers or min(n_shards, usable_cpus())
         if workers > 1 and n_shards > 1:
             with ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="minimize-shard"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.docking.batched import (
+    DEFAULT_FFT_BATCH,
     BatchedFFTCorrelationEngine,
     fft_batch_limit,
     stack_rotation_grids,
@@ -52,7 +53,7 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("precision,tol", [("double", 1e-10), ("single", 1e-4)])
     def test_matches_serial_fft_and_direct_cubic(self, rng, precision, tol):
         rec, ligs = random_grid_batch(rng, (12, 12, 12), (4, 4, 4))
-        batched = BatchedFFTCorrelationEngine(workers=1, precision=precision)
+        batched = BatchedFFTCorrelationEngine(precision=precision)
         serial_fft = FFTCorrelationEngine()
         direct = DirectCorrelationEngine()
         stack = batched.correlate_batch(rec, ligs)
@@ -67,7 +68,7 @@ class TestBatchedEquivalence:
     )
     def test_matches_on_non_cubic_grids(self, rng, rec_shape, lig_shape):
         rec, ligs = random_grid_batch(rng, rec_shape, lig_shape)
-        batched = BatchedFFTCorrelationEngine(workers=1, precision="double")
+        batched = BatchedFFTCorrelationEngine(precision="double")
         serial_fft = FFTCorrelationEngine()
         direct = DirectCorrelationEngine()
         stack = batched.correlate_batch(rec, ligs)
@@ -80,7 +81,7 @@ class TestBatchedEquivalence:
 
     def test_single_rotation_interface(self, rng):
         rec, ligs = random_grid_batch(rng, (10, 10, 10), (3, 3, 3), batch=1)
-        batched = BatchedFFTCorrelationEngine(workers=1, precision="double")
+        batched = BatchedFFTCorrelationEngine(precision="double")
         one = batched.correlate(rec, ligs[0])
         ref = FFTCorrelationEngine().correlate(rec, ligs[0])
         assert np.allclose(one, ref, atol=1e-9)
@@ -88,7 +89,7 @@ class TestBatchedEquivalence:
     def test_base_class_batch_loop_agrees(self, rng):
         """Every engine's correlate_batch (vectorized or loop) must agree."""
         rec, ligs = random_grid_batch(rng, (10, 10, 10), (3, 3, 3))
-        batched = BatchedFFTCorrelationEngine(workers=1, precision="double")
+        batched = BatchedFFTCorrelationEngine(precision="double")
         for eng in (FFTCorrelationEngine(), DirectCorrelationEngine()):
             loop = eng.correlate_batch(rec, ligs)
             vec = batched.correlate_batch(rec, ligs)
@@ -96,7 +97,7 @@ class TestBatchedEquivalence:
             assert np.allclose(loop, vec, atol=1e-9)
 
     def test_real_molecule_grids(self, receptor_grids_32, ethanol_grids_4):
-        batched = BatchedFFTCorrelationEngine(workers=1, precision="double")
+        batched = BatchedFFTCorrelationEngine(precision="double")
         out = batched.correlate(receptor_grids_32, ethanol_grids_4)
         ref = FFTCorrelationEngine().correlate(receptor_grids_32, ethanol_grids_4)
         scale = max(np.abs(ref).max(), 1.0)
@@ -139,12 +140,23 @@ class TestBatchedValidation:
         # Even an absurdly small budget admits one rotation.
         assert fft_batch_limit((128, 128, 128), 22, budget_bytes=1) == 1
 
+    def test_default_batch_per_engine(self, receptor_grids_32):
+        """Per-rotation engines batch 1; batched FFT batches up to its cap."""
+        assert DirectCorrelationEngine().default_batch(receptor_grids_32) == 1
+        assert FFTCorrelationEngine().default_batch(receptor_grids_32) == 1
+        batched = BatchedFFTCorrelationEngine()
+        assert batched.default_batch(receptor_grids_32) == min(
+            DEFAULT_FFT_BATCH, batched.max_batch(receptor_grids_32)
+        )
+        tight = BatchedFFTCorrelationEngine(memory_budget_bytes=1)
+        assert tight.default_batch(receptor_grids_32) == 1
+
     def test_receptor_cache(self, rng):
         from repro.cache import CacheManager
 
         rec, ligs = random_grid_batch(rng, (8, 8, 8), (2, 2, 2))
         manager = CacheManager(policy="memory")
-        eng = BatchedFFTCorrelationEngine(workers=1, spectra_cache=manager)
+        eng = BatchedFFTCorrelationEngine(spectra_cache=manager)
         eng.correlate_batch(rec, ligs)
         assert (manager.stats.misses, manager.stats.hits) == (1, 0)
         eng.correlate_batch(rec, ligs)
@@ -167,8 +179,8 @@ class TestBatchedValidation:
             labels=list(rec_a.labels),
         )
         manager = CacheManager(policy="memory")
-        eng_a = BatchedFFTCorrelationEngine(workers=1, spectra_cache=manager)
-        eng_b = BatchedFFTCorrelationEngine(workers=1, spectra_cache=manager)
+        eng_a = BatchedFFTCorrelationEngine(spectra_cache=manager)
+        eng_b = BatchedFFTCorrelationEngine(spectra_cache=manager)
         out_a = eng_a.correlate_batch(rec_a, ligs)
         out_b = eng_b.correlate_batch(rec_b, ligs)
         assert manager.stats.hits == 1 and manager.stats.misses == 1
@@ -183,9 +195,7 @@ class TestBatchedValidation:
         _, ligs = random_grid_batch(rng, (8, 8, 8), (2, 2, 2), batch=2)
         # Budget sized for only a few 8^3 double-precision spectra sets.
         manager = CacheManager(policy="memory", memory_bytes=64 * 1024)
-        eng = BatchedFFTCorrelationEngine(
-            workers=1, precision="double", spectra_cache=manager
-        )
+        eng = BatchedFFTCorrelationEngine(precision="double", spectra_cache=manager)
         fresh = DirectCorrelationEngine()
         for _ in range(50):
             rec, _ = random_grid_batch(rng, (8, 8, 8), (2, 2, 2), batch=1)
@@ -208,10 +218,11 @@ class TestBatchedPiperRuns:
             receptor_grid=32,
             probe_grid=4,
             grid_spacing=1.25,
-            engine="batched-fft",
             batch_size=3,
         )
-        batched = PiperDocker(small_protein, ethanol, batched_cfg)
+        batched = PiperDocker(
+            small_protein, ethanol, batched_cfg, engine=BatchedFFTCorrelationEngine()
+        )
         p_serial = serial.run(batch_size=1)
         p_batched = batched.run()
         assert len(p_serial) == len(p_batched)
@@ -234,7 +245,7 @@ class TestBatchedPiperRuns:
                 small_protein,
                 ethanol,
                 PiperConfig(**base),
-                engine=BatchedFFTCorrelationEngine(workers=1, precision=precision),
+                engine=BatchedFFTCorrelationEngine(precision=precision),
             )
             p_batched = batched.run(batch_size=4)
             assert [(p.rotation_index, p.translation) for p in p_batched] == [
@@ -245,13 +256,11 @@ class TestBatchedPiperRuns:
         """Engines stay picklable after their spectra cache warms up
         (the cache ships as configuration, not as entries)."""
         cfg = PiperConfig(
-            num_rotations=4,
-            receptor_grid=32,
-            probe_grid=4,
-            grid_spacing=1.25,
-            engine="batched-fft",
+            num_rotations=4, receptor_grid=32, probe_grid=4, grid_spacing=1.25
         )
-        docker = PiperDocker(small_protein, ethanol, cfg)
+        docker = PiperDocker(
+            small_protein, ethanol, cfg, engine=BatchedFFTCorrelationEngine()
+        )
         ref = docker.run(batch_size=2)
         docker.engine = pickle.loads(pickle.dumps(docker.engine))
         got = docker.run(batch_size=2)

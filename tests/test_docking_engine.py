@@ -124,15 +124,20 @@ class TestDockingEngineFacade:
         assert engine.batch_size > 1
 
     def test_config_engine_is_default_backend(self, small_protein, ethanol):
-        cfg = PiperConfig(
+        """``FTMapConfig.engine`` is the backend the mapping dock stage runs."""
+        from repro.cache import CacheManager
+        from repro.mapping.ftmap import FTMapConfig, dock_probe
+
+        cfg = FTMapConfig(
+            probe_names=("ethanol",),
             num_rotations=3,
             receptor_grid=32,
             probe_grid=4,
             grid_spacing=1.25,
             engine="batched-fft",
         )
-        engine = DockingEngine(small_protein, ethanol, cfg)
-        assert engine.backend == "batched-fft"
+        run = dock_probe(small_protein, ethanol, cfg, cache=CacheManager(policy="off"))
+        assert run.backend == "batched-fft"
 
     def test_unknown_backend_rejected(self, small_protein, ethanol, cfg):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -157,19 +162,6 @@ class TestDockingEngineFacade:
 
 
 class TestAutoEngineInPiper:
-    def test_piper_auto_engine_resolves(self, small_protein, ethanol):
-        cfg = PiperConfig(
-            num_rotations=3,
-            receptor_grid=32,
-            probe_grid=4,
-            grid_spacing=1.25,
-            engine="auto",
-        )
-        docker = PiperDocker(small_protein, ethanol, cfg)
-        assert docker.engine.name in CPU_BACKENDS
-        poses = docker.run()
-        assert len(poses) == 3 * cfg.poses_per_rotation
-
     def test_ftmap_through_facade(self, small_protein):
         from repro.api import FTMapService
         from repro.mapping.ftmap import FTMapConfig

@@ -19,8 +19,9 @@ class TestPiperConfig:
             PiperConfig(num_rotations=0)
         with pytest.raises(ValueError):
             PiperConfig(poses_per_rotation=0)
-        with pytest.raises(ValueError):
-            PiperConfig(engine="cuda")
+        # The backend is DockingEngine(backend=...), not part of the workload.
+        with pytest.raises(TypeError):
+            PiperConfig(engine="direct")
 
 
 class TestPiperDocker:

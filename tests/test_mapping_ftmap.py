@@ -99,14 +99,12 @@ class TestStagedPipeline:
         probe = build_probe("ethanol")
         docking = dock_probe(protein, probe, tiny_config)
         assert docking.poses
-        minimized, centers, energies, backend = minimize_poses(
-            protein, probe, docking.poses, tiny_config
-        )
-        assert len(minimized) == tiny_config.minimize_top
-        assert centers.shape == (tiny_config.minimize_top, 3)
-        assert energies.shape == (tiny_config.minimize_top,)
-        assert backend
-        clusters = cluster_probe(centers, energies, tiny_config)
+        stage = minimize_poses(protein, probe, docking.poses, tiny_config)
+        assert len(stage.results) == tiny_config.minimize_top
+        assert stage.centers.shape == (tiny_config.minimize_top, 3)
+        assert stage.energies.shape == (tiny_config.minimize_top,)
+        assert stage.backend
+        clusters = cluster_probe(stage.centers, stage.energies, tiny_config)
         assert clusters
         pr = map_probe(protein, "ethanol", probe, tiny_config)
         assert pr.probe_name == "ethanol"
@@ -122,9 +120,9 @@ class TestStagedPipeline:
             cfg = FTMapConfig(
                 **{**tiny_config.__dict__, "minimize_engine": backend}
             )
-            _, _, energies, resolved = minimize_poses(protein, probe, poses, cfg)
-            assert resolved == backend
-            results[backend] = energies
+            stage = minimize_poses(protein, probe, poses, cfg)
+            assert stage.backend == backend
+            results[backend] = stage.energies
         np.testing.assert_allclose(
             results["batched"], results["serial"], rtol=5e-3
         )
@@ -136,14 +134,12 @@ class TestZeroPoseProbe:
 
     def test_minimize_poses_empty(self, protein, tiny_config):
         probe = build_probe("ethanol")
-        minimized, centers, energies, backend = minimize_poses(
-            protein, probe, [], tiny_config
-        )
-        assert minimized == []
-        assert centers.shape == (0, 3)
-        assert energies.shape == (0,)
-        assert backend == ""
-        assert cluster_probe(centers, energies, tiny_config) == []
+        stage = minimize_poses(protein, probe, [], tiny_config)
+        assert stage.results == []
+        assert stage.centers.shape == (0, 3)
+        assert stage.energies.shape == (0,)
+        assert stage.backend == ""
+        assert cluster_probe(stage.centers, stage.energies, tiny_config) == []
 
     def test_map_with_poseless_probe(self, protein, tiny_config, monkeypatch):
         import repro.mapping.ftmap as ftmap_mod
@@ -170,14 +166,12 @@ class TestZeroPoseProbe:
 
 
 class TestEngineRouting:
-    def test_piper_config_rejects_gpu_sim(self):
-        cfg = FTMapConfig(engine="gpu-sim")
-        with pytest.raises(ValueError, match="gpu-sim"):
-            cfg.piper_config()
-
     def test_piper_config_passes_cpu_engines(self):
-        assert FTMapConfig(engine="batched-fft").piper_config().engine == "batched-fft"
-        assert FTMapConfig(engine="auto").piper_config().engine == "auto"
+        """Every engine, gpu-sim included, docks the same workload: the
+        engine goes to ``DockingEngine(backend=...)``, not into the config."""
+        workload = FTMapConfig().piper_config()
+        for engine in ("direct", "fft", "batched-fft", "auto", "gpu-sim"):
+            assert FTMapConfig(engine=engine).piper_config() == workload
 
     def test_map_routes_gpu_sim_through_facade(self, protein):
         cfg = FTMapConfig(
@@ -374,3 +368,37 @@ class TestArtifactCache:
         first.poses.clear()                        # caller mangles its copy
         second = dock_probe(protein, build_probe("ethanol"), cfg)
         assert len(second.poses) == cfg.num_rotations * cfg.poses_per_rotation
+
+
+class TestDockResultKeyGoldens:
+    """The dock-result cache key must not move under a docking-config
+    refactor: a silent re-key would orphan every stored dock result.
+    Values computed before the backend choice left ``PiperConfig``; a
+    deliberate key change bumps ``CACHE_FORMAT_VERSION`` and updates them."""
+
+    GOLDENS = {
+        (("engine", "direct"),):
+            "ae79f288fdec0ac431947ca4e932445d7c40b1d8dfcd11da9c3ae91e1da4a8fe",
+        (("engine", "fft"),):
+            "1dc1bfb814aeeee613e38dd4d865a64460cffd6c99962b3638df95e90e03f495",
+        (("engine", "batched-fft"),):
+            "6b68b5fb7c650731d899fe62f821c73729f29fc346bd3c1fe2cb51d5c2551486",
+        (("engine", "auto"),):
+            "a8cede18d268665ff2eff64e5cd3c1d3ff819b78e509ad11a9abb1d8e6c02881",
+        (("engine", "gpu-sim"),):
+            "ece03427d10b8dd74c20f94e4a069dc199653ec8734db4eb8ea2bd4ca85009c3",
+        (("engine", "batched-fft"), ("batch_size", 2)):
+            "f44ea6092d1360adda991d92497bd56fc8eb0cb038dc20aef6985ff15acee53b",
+    }
+
+    @pytest.mark.parametrize(
+        "fields", list(GOLDENS), ids=lambda f: ",".join(f"{k}={v}" for k, v in f)
+    )
+    def test_key_matches_golden(self, fields):
+        from repro.mapping.ftmap import _dock_result_key
+
+        receptor = synthetic_protein(n_residues=30, seed=11)
+        key = _dock_result_key(
+            receptor, build_probe("ethanol"), FTMapConfig(**dict(fields))
+        )
+        assert key == "dock-results/" + self.GOLDENS[fields]

@@ -134,6 +134,34 @@ class TestBitwiseEquivalence:
             np.testing.assert_array_equal(a.coords, b.coords)
         assert seq.reduction_order == par.reduction_order
 
+    def test_one_usable_cpu_runs_shards_in_calling_thread(
+        self, complex_mol, ensemble, config, monkeypatch
+    ):
+        """The default shard-thread count follows the CPUs this process may
+        run on (affinity: ``taskset``, a streaming worker), not the host's
+        core count, and the sequential fallback keeps every bit."""
+        import threading
+
+        import repro.minimize.multidevice as multidevice
+
+        stack, masks = ensemble
+
+        def run(shard_workers=None):
+            threads = []
+            out = MinimizationEngine(
+                complex_mol, stack, movable=masks, config=config,
+                backend="multi-gpu-sim", devices=2, shard_workers=shard_workers,
+            ).run_detailed(on_shard=lambda k, n: threads.append(threading.get_ident()))
+            return out, threads
+
+        threaded, _ = run(shard_workers=2)
+        monkeypatch.setattr(multidevice, "usable_cpus", lambda: 1)
+        pinned, threads = run()
+        assert threads == [threading.get_ident()] * 2
+        for a, b in zip(threaded.results, pinned.results):
+            assert a.energy == b.energy
+            np.testing.assert_array_equal(a.coords, b.coords)
+
 
 class TestShardEdges:
     def test_fewer_poses_than_devices(self, complex_mol, ensemble, config):
