@@ -14,7 +14,8 @@ Implements the exhaustive 6-D rigid docking of Sec. II.A / III:
 * :mod:`repro.docking.piper` — the rotation-loop driver that retains the
   top 4 poses per rotation (500 rotations -> 2000 conformations) with the
   correlation engine it is handed,
-* :mod:`repro.docking.selection` — cost-model backend auto-selection,
+* :mod:`repro.docking.selection` — ``auto``: the backend with the fewest
+  correlation flops per rotation,
 * :mod:`repro.docking.engine` — the :class:`DockingEngine` facade every
   scenario (docking, mapping, benchmarks) goes through, and the one place
   that turns a backend name into an engine and a rotation batch.
@@ -29,7 +30,7 @@ from repro.docking.direct import DirectCorrelationEngine
 from repro.docking.scoring import combine_channel_scores
 from repro.docking.filtering import filter_top_poses, FilteredPose
 from repro.docking.piper import PiperConfig, DockedPose, PiperDocker
-from repro.docking.selection import BackendDecision, select_backend
+from repro.docking.selection import BackendChoice, select_backend
 from repro.docking.engine import DockingEngine, DockingRun
 
 __all__ = [
@@ -44,7 +45,7 @@ __all__ = [
     "PiperConfig",
     "DockedPose",
     "PiperDocker",
-    "BackendDecision",
+    "BackendChoice",
     "select_backend",
     "DockingEngine",
     "DockingRun",

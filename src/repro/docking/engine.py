@@ -6,16 +6,17 @@ module is the only place that turns a backend name into a correlation
 engine and a rotation batch size.  The facade
 
 1. resolves a backend (``direct`` / ``fft`` / ``batched-fft`` / ``gpu-sim``
-   / ``auto``) via the cost-model selection layer
-   (:mod:`repro.docking.selection`), once,
+   / ``auto``) once; ``auto`` is the host backend with the fewest
+   correlation flops per rotation (:mod:`repro.docking.selection`),
 2. builds the matching execution path — a :class:`PiperDocker` running the
    chosen :class:`~repro.docking.correlation.CorrelationEngine`, or the
    virtual-GPU :class:`~repro.gpu.docking_pipeline.GpuPiperDocker` for
    ``gpu-sim``,
 3. runs rotations through the batched loop, in batches of the explicit
    ``batch_size``, else :attr:`PiperConfig.batch_size`, else the engine's
-   :meth:`~repro.docking.correlation.CorrelationEngine.default_batch` (the
-   selector's device batch for ``gpu-sim``).
+   :meth:`~repro.docking.correlation.CorrelationEngine.default_batch`;
+   ``gpu-sim`` caps any batch at what fits the device's constant memory,
+   which is also its default.
 
 All backends produce the same poses (tested); they differ in wall-clock
 and, for ``gpu-sim``, in the predicted-device-time ledger attached to the
@@ -25,7 +26,7 @@ result.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from repro.docking.batched import BatchedFFTCorrelationEngine
@@ -33,7 +34,7 @@ from repro.docking.correlation import CorrelationEngine
 from repro.docking.direct import DirectCorrelationEngine
 from repro.docking.fft import FFTCorrelationEngine
 from repro.docking.piper import DockedPose, PiperConfig, PiperDocker
-from repro.docking.selection import CPU_BACKENDS, BackendDecision, select_backend
+from repro.docking.selection import CPU_BACKENDS, select_backend
 from repro.grids.energyfunctions import num_channels
 from repro.obs.metrics import registry
 from repro.structure.molecule import Molecule
@@ -66,7 +67,6 @@ class DockingRun:
     poses: List[DockedPose]
     backend: str
     batch_size: int
-    decision: BackendDecision
     predicted_device_time_s: Optional[float] = None   # gpu-sim only
 
 
@@ -81,10 +81,11 @@ class DockingEngine:
         :class:`PiperConfig`: the docking workload.
     backend:
         One of :data:`BACKEND_NAMES` (default ``"direct"``).  ``"auto"``
-        picks the cheapest CPU backend from the cost models;
+        picks the CPU backend with the fewest correlation flops;
         ``"gpu-sim"`` routes through the virtual-device pipeline.
     batch_size:
         Rotations per batched pass; overrides ``config.batch_size``.
+        ``gpu-sim`` caps it at the device's constant-memory batch.
     workers:
         Kept so 1.x callers that pass it still run; must be ``None`` or
         ``1``, because rotations are gridded in the calling thread.
@@ -116,39 +117,42 @@ class DockingEngine:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
             )
+        if batch_size is not None and batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         self.config = cfg = config or PiperConfig()
         if batch_size is None:
             batch_size = cfg.batch_size
-        self.decision = select_backend(
-            cfg.receptor_grid,
-            cfg.probe_grid,
-            num_channels(cfg.n_desolvation_terms),
-            num_rotations=cfg.num_rotations,
-            batch_size=batch_size,
-            include_gpu=backend == "gpu-sim",
-            device_spec=device.spec if device is not None else None,
-        )
-        self.backend = self.decision.backend if backend == "auto" else backend
-        self._device = device
+        if backend == "auto":
+            backend = select_backend(
+                cfg.receptor_grid,
+                cfg.probe_grid,
+                num_channels(cfg.n_desolvation_terms),
+                num_rotations=cfg.num_rotations,
+                batch_size=batch_size,
+            ).backend
+        self.backend = backend
         self.docker = PiperDocker(
             receptor,
             probe,
             cfg,
-            engine=(
-                None if self.backend == "gpu-sim"
-                else _correlation_engine(self.backend, cache)
-            ),
+            engine=None if backend == "gpu-sim" else _correlation_engine(backend, cache),
             cache=cache,
         )
-        # Batch size follows the *resolved engine*, not the selector's
-        # winner: an explicitly requested batched backend must batch even
-        # when the cost model would have picked something else.
-        if batch_size is None:
-            batch_size = (
-                self.decision.batch_size
-                if self.backend == "gpu-sim"
-                else self.docker.engine.default_batch(self.docker.receptor_grids)
+        self._gpu = None
+        if backend == "gpu-sim":
+            from repro.cuda.device import Device
+            from repro.gpu.docking_pipeline import GpuPiperDocker
+
+            self._gpu = GpuPiperDocker(
+                receptor,
+                probe,
+                replace(cfg, batch_size=batch_size),
+                device=device or Device(),
+                serial=self.docker,
             )
+            batch_size = self._gpu.batch_size
+        elif batch_size is None:
+            batch_size = self.docker.engine.default_batch(self.docker.receptor_grids)
         self.batch_size = batch_size
 
     # -- execution ---------------------------------------------------------------
@@ -162,32 +166,18 @@ class DockingEngine:
     ) -> DockingRun:
         """Dock and report backend provenance (and GPU time ledger)."""
         t_start = time.perf_counter()
-        if self.backend == "gpu-sim":
-            from repro.cuda.device import Device
-            from repro.gpu.docking_pipeline import GpuPiperDocker
-
-            gpu = GpuPiperDocker(
-                self.docker.receptor,
-                self.docker.probe,
-                self.config,
-                device=self._device or Device(),
-                serial=self.docker,
-            )
-            res = gpu.run(rotation_indices)
+        if self._gpu is not None:
+            res = self._gpu.run(rotation_indices)
             run = DockingRun(
                 poses=res.poses,
                 backend=self.backend,
                 batch_size=res.batch_size,
-                decision=self.decision,
                 predicted_device_time_s=res.predicted_device_time_s,
             )
         else:
             poses = self.docker.run(rotation_indices, batch_size=self.batch_size)
             run = DockingRun(
-                poses=poses,
-                backend=self.backend,
-                batch_size=self.batch_size,
-                decision=self.decision,
+                poses=poses, backend=self.backend, batch_size=self.batch_size
             )
         n_rotations = (
             len(rotation_indices)

@@ -1,80 +1,78 @@
 """Backend auto-selection for the docking correlation hot path.
 
-Given a problem size — receptor edge ``n``, ligand edge ``m``, channel
-count, rotation count — this layer predicts the per-rotation correlation
-cost of every backend and picks the cheapest:
+``auto`` picks the host backend with the fewest correlation flops per
+rotation for a problem size — receptor edge ``n``, ligand edge ``m``,
+channel count, rotation count:
 
-* ``direct`` / ``fft`` / ``batched-fft`` from the serial CPU model
-  (:class:`repro.perf.cpumodel.CpuModel`) — the same primitives the paper's
-  Sec. III crossover argument uses ("if the ligand grid is smaller than a
-  certain size, direct correlation can perform better than FFT"),
-* ``gpu-sim`` from the analytic GPU cost model
-  (:class:`repro.cuda.costmodel.CostModel`) applied to the batched
-  direct-correlation kernel launch, included only when a device spec is
-  supplied — the virtual device predicts time but executes on the host, so
-  it must be opted into.
+* ``direct`` costs ``2 T^3 m^3`` flops per channel (``T = n - m + 1``),
+* ``fft`` costs a forward and an inverse ``n^3`` transform per channel,
+* ``batched-fft`` does staged zero-padded forward transforms, one shared
+  inverse transform, and amortizes the receptor spectra over its rotation
+  batch; a single rotation has nothing to batch, so it never wins there.
 
-Host constants and the default device spec come from the shared topology
-layer (:mod:`repro.exec.topology`), the same source the minimization
-selector reads — one set of machine constants, no per-subsystem copies.
-
-The decision carries every backend's prediction so callers (benchmarks,
-reports) can show the full table, not just the winner.
+That comparison is the paper's Sec. III crossover ("if the ligand grid is
+smaller than a certain size, direct correlation can perform better than
+FFT"): FTMap probes (``m <= 4``) land on ``direct``, large ligands on an
+FFT path.  The flop formulas live here once; the paper-table CPU model
+(:class:`repro.perf.cpumodel.CpuModel`) divides them by its GFLOP/s.
+``gpu-sim`` is never auto-selected: the virtual device computes on the host.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from repro.docking.batched import DEFAULT_FFT_BATCH, fft_batch_limit
-from repro.exec.topology import default_device_spec, host_model
-from repro.perf.cpumodel import CpuModel
 
-__all__ = ["BackendDecision", "predict_backend_times", "select_backend", "CPU_BACKENDS"]
+__all__ = [
+    "BackendChoice",
+    "CPU_BACKENDS",
+    "batched_fft_correlation_flops",
+    "direct_correlation_flops",
+    "fft_correlation_flops",
+    "select_backend",
+]
 
 #: Backends that execute real host arithmetic (auto-selectable everywhere).
 CPU_BACKENDS = ("direct", "fft", "batched-fft")
 
 
-@dataclass(frozen=True)
-class BackendDecision:
-    """Outcome of backend selection for one problem size."""
+class BackendChoice(NamedTuple):
+    """What ``auto`` resolves to, and the batch the rule assumed for it."""
 
     backend: str
     batch_size: int
-    predictions: Dict[str, float]   # backend -> predicted s/rotation
-
-    @property
-    def predicted_s(self) -> float:
-        return self.predictions[self.backend]
 
 
-def predict_backend_times(
-    n: int,
-    m: int,
-    channels: int,
-    num_rotations: int = 1,
-    batch_size: Optional[int] = None,
-    cpu: Optional[CpuModel] = None,
-    device_spec=None,
-) -> Dict[str, float]:
-    """Predicted per-rotation correlation seconds for every backend.
+def fft_correlation_flops(n: int, channels: int) -> float:
+    """All FFT correlations of one rotation: per channel a forward and an
+    inverse 3-D transform (~5 n^3 log2(n^3) flops each) plus the spectrum
+    product; the receptor spectra are precomputed."""
+    return channels * (2 * 5.0 * n**3 * np.log2(float(n) ** 3) + 6.0 * n**3)
 
-    ``gpu-sim`` appears only when ``device_spec`` is given; its prediction
-    is the cost-model kernel time of the constant-memory-batched direct
-    kernel plus the per-rotation probe upload.
+
+def direct_correlation_flops(n: int, m: int, channels: int) -> float:
+    """Direct correlation of one rotation: 2 flops per multiply-accumulate."""
+    t = n - m + 1
+    return 2.0 * t**3 * m**3 * channels
+
+
+def batched_fft_correlation_flops(n: int, m: int, channels: int, batch: int) -> float:
+    """Batched-FFT correlation of one rotation, amortized over ``batch``.
+
+    Per channel one staged forward sweep over ``m*m*n + m*n*n + n^3``
+    points instead of three over ``n^3``, one shared inverse transform and
+    the spectrum product; the ``channels`` receptor transforms are shared
+    by the batch.
     """
-    cpu = cpu or host_model()
-    batch = _resolve_batch(n, channels, num_rotations, batch_size)
-    times = {
-        "direct": cpu.direct_correlation_s(n, m, channels),
-        "fft": cpu.fft_correlation_s(n, channels),
-        "batched-fft": cpu.batched_fft_correlation_s(n, m, channels, batch),
-    }
-    if device_spec is not None:
-        times["gpu-sim"] = _gpu_time_per_rotation(n, m, channels, device_spec)
-    return times
+    log_n = np.log2(float(n))
+    fwd = channels * 5.0 * log_n * (m * m * n + m * n * n + n**3)
+    inv = 3.0 * 5.0 * log_n * n**3
+    modulate = 6.0 * channels * n**3
+    prep = channels * 3.0 * 5.0 * log_n * n**3 / batch
+    return fwd + inv + modulate + prep
 
 
 def select_backend(
@@ -83,58 +81,22 @@ def select_backend(
     channels: int,
     num_rotations: int = 1,
     batch_size: Optional[int] = None,
-    include_gpu: bool = False,
-    cpu: Optional[CpuModel] = None,
-    device_spec=None,
-) -> BackendDecision:
-    """Pick the cheapest backend for a problem size.
+) -> BackendChoice:
+    """The host backend with the fewest correlation flops per rotation.
 
-    The GPU simulator is considered only with ``include_gpu=True`` (it
-    predicts device time while computing on the host, so auto-picking it
-    must be an explicit choice).  A single rotation never selects the
-    batched path — there is nothing to batch.
+    ``batched-fft`` is counted at ``batch_size`` rotations per pass, by
+    default :data:`~repro.docking.batched.DEFAULT_FFT_BATCH` capped by the
+    memory budget on an ``n^3`` grid and by the rotation count.  The
+    returned batch is that batch when ``batched-fft`` wins, else 1.
     """
-    if include_gpu and device_spec is None:
-        device_spec = default_device_spec()
-    times = predict_backend_times(
-        n, m, channels, num_rotations, batch_size, cpu, device_spec
+    batch = batch_size or min(
+        DEFAULT_FFT_BATCH, fft_batch_limit((n, n, n), channels), num_rotations
     )
-    candidates = dict(times)
-    if not include_gpu:
-        candidates.pop("gpu-sim", None)
-    if num_rotations <= 1:
-        candidates.pop("batched-fft", None)
-    backend = min(candidates, key=candidates.get)
-    batch = (
-        _resolve_batch(n, channels, num_rotations, batch_size)
-        if backend in ("batched-fft", "gpu-sim")
-        else 1
-    )
-    return BackendDecision(backend=backend, batch_size=batch, predictions=times)
-
-
-def _resolve_batch(
-    n: int, channels: int, num_rotations: int, batch_size: Optional[int]
-) -> int:
-    if batch_size is not None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        return batch_size
-    limit = fft_batch_limit((n, n, n), channels)
-    return max(1, min(DEFAULT_FFT_BATCH, limit, num_rotations))
-
-
-def _gpu_time_per_rotation(n: int, m: int, channels: int, device_spec) -> float:
-    """Cost-model time of the batched direct kernel, per rotation."""
-    from repro.cuda.costmodel import CostModel
-    from repro.docking.correlation import valid_translations
-    from repro.gpu.batching import max_batch_rotations
-    from repro.gpu.correlation_kernels import correlation_launch_sizes
-
-    batch = max(1, max_batch_rotations(m, channels, device_spec))
-    t = valid_translations(n, m)
-    launch = correlation_launch_sizes((t, t, t), channels, m, batch=batch)
-    cost = CostModel(device_spec)
-    kernel_s = cost.kernel_time(launch) / batch
-    upload_s = cost.transfer_time(channels * m**3 * 4)
-    return kernel_s + upload_s
+    flops = {
+        "direct": direct_correlation_flops(n, m, channels),
+        "fft": fft_correlation_flops(n, channels),
+    }
+    if num_rotations > 1:
+        flops["batched-fft"] = batched_fft_correlation_flops(n, m, channels, batch)
+    backend = min(flops, key=flops.get)
+    return BackendChoice(backend, batch if backend == "batched-fft" else 1)

@@ -1,13 +1,13 @@
-"""Shared execution-topology layer: devices, sharding, host constants.
+"""Shared execution-topology layer: devices and sharding.
 
 The one place the package describes *where work runs*: a
-:class:`DeviceTopology` (N homogeneous virtual devices + the host
-machine's cost constants) and a generic :class:`ShardPlan` (balanced
-contiguous assignment with a fixed reduction order).  Multi-device
-docking (:mod:`repro.cuda.multigpu`), multi-device ensemble minimization
-(:mod:`repro.minimize.multidevice`) and both backend-selection layers
-consume this module instead of keeping private copies of the same
-device math.
+:class:`DeviceTopology` (N homogeneous virtual devices) and a generic
+:class:`ShardPlan` (balanced contiguous assignment with a fixed reduction
+order).  Multi-device docking (:mod:`repro.cuda.multigpu`) and
+multi-device ensemble minimization (:mod:`repro.minimize.multidevice`)
+consume this module instead of keeping private copies of the same device
+math.  It holds no host cost model: backend selection is by rule, on the
+inputs (:mod:`repro.docking.selection`, :mod:`repro.minimize.selection`).
 """
 
 from repro.exec.plan import Shard, ShardPlan
@@ -17,7 +17,6 @@ from repro.exec.topology import (
     VirtualDevice,
     default_device_spec,
     default_topology,
-    host_model,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "DEFAULT_TOPOLOGY",
     "default_topology",
     "default_device_spec",
-    "host_model",
 ]

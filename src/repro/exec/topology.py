@@ -1,18 +1,13 @@
-"""Shared execution topology: virtual devices + host constants in one place.
+"""Shared execution topology: the virtual devices work is sharded over.
 
-Every backend selector and multi-device model in the package prices work
-against the same two machines — the reproduction host
-(:class:`~repro.perf.cpumodel.CpuModel`) and the paper's Tesla C1060
-(:class:`~repro.cuda.costmodel.CostModel`).  Before this layer existed,
-``repro.docking.selection`` and ``repro.minimize.selection`` each built
-their own ``CpuModel()`` default and re-imported ``TESLA_C1060`` as a
-private fallback, and ``repro.cuda.multigpu`` carried its own
-ceil-division device math; three copies of the same constants is how
-cost models drift.  :class:`DeviceTopology` is now the single source:
-*N* homogeneous virtual devices (one :class:`~repro.cuda.device.DeviceSpec`)
-plus the host :class:`~repro.perf.cpumodel.CpuSpec`, with sharding
+:class:`DeviceTopology` is *N* homogeneous virtual devices (one
+:class:`~repro.cuda.device.DeviceSpec`) with sharding
 (:meth:`DeviceTopology.plan`) and the serialized host-side broadcast model
-(:meth:`DeviceTopology.broadcast_s`) both phases share.
+(:meth:`DeviceTopology.broadcast_s`) that multi-device docking
+(:mod:`repro.cuda.multigpu`) and multi-device minimization
+(:mod:`repro.minimize.multidevice`) share, so their device math cannot
+drift apart.  Naming a topology of two or more devices is also what lets
+minimization ``auto`` shard (:mod:`repro.minimize.selection`).
 """
 
 from __future__ import annotations
@@ -23,14 +18,12 @@ from typing import Tuple
 from repro.cuda.costmodel import CostModel
 from repro.cuda.device import DeviceSpec, TESLA_C1060
 from repro.exec.plan import ShardPlan
-from repro.perf.cpumodel import CpuModel, CpuSpec, XEON_HARPERTOWN
 
 __all__ = [
     "VirtualDevice",
     "DeviceTopology",
     "default_topology",
     "default_device_spec",
-    "host_model",
 ]
 
 
@@ -44,7 +37,7 @@ class VirtualDevice:
 
 @dataclass(frozen=True)
 class DeviceTopology:
-    """``num_devices`` homogeneous virtual devices plus the host machine.
+    """``num_devices`` homogeneous virtual devices.
 
     Frozen and hashable: a topology is a value describing hardware, not a
     stateful object — per-run state (predicted-time ledgers) lives with
@@ -53,7 +46,6 @@ class DeviceTopology:
 
     num_devices: int = 1
     device_spec: DeviceSpec = TESLA_C1060
-    cpu_spec: CpuSpec = XEON_HARPERTOWN
 
     def __post_init__(self) -> None:
         if self.num_devices < 1:
@@ -67,10 +59,6 @@ class DeviceTopology:
         )
 
     # -- models -------------------------------------------------------------------
-
-    def cpu_model(self) -> CpuModel:
-        """Host cost model (the constants both selection layers read)."""
-        return CpuModel(self.cpu_spec)
 
     def cost_model(self) -> CostModel:
         """Per-device GPU cost model."""
@@ -93,10 +81,8 @@ class DeviceTopology:
         return self.num_devices * self.cost_model().transfer_time(n_bytes)
 
 
-#: The package-default topology: one paper GPU + the paper's serial host.
+#: The package-default topology: one paper GPU.
 DEFAULT_TOPOLOGY = DeviceTopology()
-
-_HOST_MODEL = DEFAULT_TOPOLOGY.cpu_model()
 
 
 def default_topology(num_devices: int = 1) -> DeviceTopology:
@@ -107,10 +93,6 @@ def default_topology(num_devices: int = 1) -> DeviceTopology:
 
 
 def default_device_spec() -> DeviceSpec:
-    """The device spec selectors fall back to (the paper's C1060)."""
+    """The default device spec (the paper's C1060)."""
     return DEFAULT_TOPOLOGY.device_spec
 
-
-def host_model() -> CpuModel:
-    """The shared host cost model (one instance, one set of constants)."""
-    return _HOST_MODEL

@@ -53,7 +53,9 @@ class GpuPiperDocker:
         # expensive to rebuild); standalone use constructs a fresh one.
         self.serial = serial or PiperDocker(receptor, probe, config)
         self.device = device or Device()
-        cfg = self.serial.config
+        # An explicit ``config`` wins over the shared docker's (the facade
+        # hands down its resolved batch this way).
+        cfg = config or self.serial.config
         limit = max_batch_rotations(
             cfg.probe_grid,
             self.serial.receptor_grids.n_channels,
@@ -66,8 +68,7 @@ class GpuPiperDocker:
             )
         # An explicit configured batch may shrink below the constant-memory
         # cap (never exceed it — the device would reject the upload).
-        configured = self.serial.config.batch_size
-        self.batch_size = min(limit, configured) if configured else limit
+        self.batch_size = min(limit, cfg.batch_size) if cfg.batch_size else limit
 
     def run(self, rotation_indices: Sequence[int] | None = None) -> GpuDockingRun:
         """Dock all (or selected) rotations through the GPU path."""

@@ -81,11 +81,11 @@ class FTMapConfig:
     ``"gpu-sim"`` and ``"auto"``); ``minimize_engine`` selects the
     minimization backend (any
     :class:`~repro.minimize.engine.MinimizationEngine` backend, default
-    cost-model ``"auto"``).  ``minimize_devices`` shards the minimization
-    ensemble over that many virtual devices
-    (:mod:`repro.minimize.multidevice`): with ``minimize_engine`` set to
-    ``"multi-gpu-sim"`` it is the shard width, with ``"auto"`` it opts the
-    sharded backend into cost-model selection.  How a request's probes
+    ``"auto"``).  ``minimize_devices`` shards the minimization ensemble
+    over that many virtual devices (:mod:`repro.minimize.multidevice`):
+    with ``minimize_engine`` set to ``"multi-gpu-sim"`` it is the shard
+    width, and with ``"auto"`` two or more devices shard every ensemble of
+    two or more poses.  How a request's probes
     are scheduled is not part of the workload: it is the ``streaming``
     argument of :meth:`repro.api.FTMapService.map`.
 

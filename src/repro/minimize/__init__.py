@@ -11,8 +11,8 @@ The batched subsystem refines whole ensembles of docked conformations:
 :class:`EnsembleEnergyModel` evaluates a ``(P, N, 3)`` stack in one
 vectorized pass, :class:`BatchedMinimizer` advances every pose in lock-step
 with per-pose convergence, and :class:`MinimizationEngine` is the facade
-that auto-selects ``serial | batched | gpu-sim`` from the
-cost models (:mod:`repro.minimize.selection`).
+that runs ``serial | batched | gpu-sim | multi-gpu-sim``, ``auto``
+choosing by rule (:mod:`repro.minimize.selection`).
 """
 
 from repro.minimize.neighborlist import NeighborList, build_neighbor_list, bonded_exclusions
@@ -42,9 +42,7 @@ from repro.minimize.multidevice import (
 )
 from repro.minimize.selection import (
     MINIMIZE_CPU_BACKENDS,
-    MinimizeBackendDecision,
     ensemble_batch_limit,
-    predict_minimize_times,
     select_minimize_backend,
 )
 from repro.minimize.engine import (
@@ -87,9 +85,7 @@ __all__ = [
     "ShardExecution",
     "DEFAULT_MINIMIZE_DEVICES",
     "MINIMIZE_CPU_BACKENDS",
-    "MinimizeBackendDecision",
     "ensemble_batch_limit",
-    "predict_minimize_times",
     "select_minimize_backend",
     "MINIMIZE_BACKEND_NAMES",
     "MinimizationEngine",

@@ -6,10 +6,10 @@ equivalence tests, the benchmarks — funnels through
 :class:`MinimizationEngine`.  The facade
 
 1. resolves a backend (``serial`` / ``batched`` / ``gpu-sim`` /
-   ``multi-gpu-sim`` / ``auto``) via the cost-model selection layer
-   (:mod:`repro.minimize.selection`), sized by ensemble size x pair
-   count — and, when a :class:`~repro.exec.topology.DeviceTopology` is
-   supplied, aware of the sharded multi-device option,
+   ``multi-gpu-sim`` / ``auto``); ``auto`` follows the rule of
+   :mod:`repro.minimize.selection` on the ensemble size, the pair count
+   and, when a :class:`~repro.exec.topology.DeviceTopology` of two or
+   more devices is named, shards over it,
 2. builds the matching execution path — per-pose serial
    :class:`~repro.minimize.minimizer.Minimizer` runs, a
    :class:`~repro.minimize.batched.BatchedMinimizer` over an
@@ -48,7 +48,7 @@ from repro.minimize.multidevice import (
     MultiDeviceMinimizer,
     ShardExecution,
 )
-from repro.minimize.selection import MinimizeBackendDecision, select_minimize_backend
+from repro.minimize.selection import select_minimize_backend
 from repro.obs.metrics import registry
 from repro.structure.molecule import Molecule
 from repro.util.parallel import chunked
@@ -66,7 +66,6 @@ class MinimizationRun:
     results: List[MinimizationResult]
     backend: str
     batch_size: int
-    decision: MinimizeBackendDecision
     predicted_device_time_s: Optional[float] = None   # gpu-sim / multi-gpu-sim
     #: Multi-device provenance: device count the run was planned over,
     #: per-shard execution records, and the fixed merge order (empty /
@@ -95,11 +94,11 @@ class MinimizationEngine:
     config:
         :class:`MinimizerConfig` shared by every pose.
     backend:
-        One of :data:`MINIMIZE_BACKEND_NAMES`; ``"auto"`` (default) picks
-        the cheapest CPU backend from the cost model.
+        One of :data:`MINIMIZE_BACKEND_NAMES`; ``"auto"`` (default)
+        follows :func:`~repro.minimize.selection.select_minimize_backend`.
     batch_size:
         Poses per vectorized evaluation for the batched path (``None`` =
-        cost-model default, memory-budgeted).
+        the selector's default, memory-budgeted).
     precision:
         Batched-path arithmetic: ``"single"`` (default — the production
         configuration, matching the paper's fp32 GPU kernels) or
@@ -108,10 +107,9 @@ class MinimizationEngine:
     device:
         Virtual device for ``gpu-sim`` (defaults to the paper's C1060).
     topology:
-        :class:`~repro.exec.topology.DeviceTopology` for ``multi-gpu-sim``
-        (and for topology-aware ``auto`` selection — supplying a
-        multi-device topology lets the selector weigh the sharded virtual
-        devices against the host backends).
+        :class:`~repro.exec.topology.DeviceTopology` for ``multi-gpu-sim``;
+        with ``auto``, a topology of two or more devices shards any
+        ensemble of two or more poses over it.
     devices:
         Shorthand for ``topology``: a device count on the default
         hardware.  A bare ``backend="multi-gpu-sim"`` with neither
@@ -144,6 +142,8 @@ class MinimizationEngine:
             )
         if precision not in ("single", "double"):
             raise ValueError(f"unknown precision {precision!r}")
+        if batch_size is not None and batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if topology is not None and devices is not None and topology.num_devices != devices:
             raise ValueError(
                 f"topology has {topology.num_devices} devices but devices={devices}"
@@ -170,7 +170,7 @@ class MinimizationEngine:
         self._device = device
         self.topology = topology
         self.shard_workers = shard_workers
-        # The ensemble model doubles as the cost-model's pair-count probe
+        # The ensemble model doubles as the selector's pair-count probe
         # (pose 0's movable-filtered list is representative — same topology,
         # same pocket scale across poses) and as the single-chunk batched
         # execution path, the common case; it also owns movable-mask
@@ -187,23 +187,16 @@ class MinimizationEngine:
         n_pairs = (
             len(self._ensemble_model.pair_arrays(0)[0]) if self.n_poses else 0
         )
-        self.decision = select_minimize_backend(
-            n_poses=self.n_poses,
-            n_pairs=n_pairs,
-            n_atoms=n,
-            iterations=self.config.max_iterations,
-            batch_size=batch_size,
-            include_gpu=backend == "gpu-sim",
-            device_spec=device.spec if device is not None else None,
-            topology=self.topology,
+        choice = select_minimize_backend(
+            self.n_poses, n_pairs, batch_size=batch_size, topology=self.topology
         )
-        self.backend = backend if backend != "auto" else self.decision.backend
+        self.backend = choice.backend if backend == "auto" else backend
         if batch_size is not None:
             self.batch_size = batch_size
-        elif self.backend in ("batched", "gpu-sim", "multi-gpu-sim"):
-            self.batch_size = self.decision.batch_size
-        else:
+        elif self.backend == "serial":
             self.batch_size = 1
+        else:
+            self.batch_size = choice.batch_size
 
     def _movable_row(self, p: int) -> Optional[np.ndarray]:
         return None if self.movable is None else self.movable[p]
@@ -293,7 +286,6 @@ class MinimizationEngine:
             results=results,
             backend=self.backend,
             batch_size=self.batch_size,
-            decision=self.decision,
             predicted_device_time_s=predicted_device_s,
             num_devices=num_devices,
             shards=shards,

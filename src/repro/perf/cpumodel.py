@@ -20,13 +20,18 @@ Derivations of the generic constants (all at N = 128, T = 125, C = 22):
   (cache-miss-bound accumulate).
 * ``scan_ns = 24``: Table 1 reports 200 ms for scoring + filtering: ~4
   selection scans x 2.1 M branchy compares -> 24 ns each.
+
+The correlation flop counts are the docking selector's
+(:mod:`repro.docking.selection`); this model only divides them by
+``effective_gflops``.  Nothing here describes the host this package runs
+on, and no runtime path reads it: the models feed the paper tables only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from repro.docking.selection import direct_correlation_flops, fft_correlation_flops
 
 __all__ = ["CpuSpec", "XEON_HARPERTOWN", "CpuModel"]
 
@@ -51,19 +56,6 @@ class CpuSpec:
     host_move_ms: float            # optimization move + coordinate update
     bonded_ms: float               # bonded terms per iteration (~0.2% of eval)
     parallel_efficiency: float     # multicore scaling efficiency
-    # -- reproduction-host (NumPy evaluator) constants, used only by the
-    # -- minimization backend selector (repro.minimize.selection); they
-    # -- describe *this* package's vectorized evaluator, not the paper's C
-    # -- code, so the paper-table models above never read them.
-    numpy_pair_ns: float = 40.0    # vectorized non-bonded work per pair per eval
-    numpy_atom_ns: float = 5.0     # vectorized per-atom work (forces, bonded) per eval
-    eval_dispatch_ms: float = 1.2  # fixed per-evaluation interpreter/dispatch cost
-    # Cost of an energies-only evaluation relative to a full energy+force
-    # evaluation.  Every line-search probe (serial and batched alike, since
-    # the serial-fast-paths re-baselining) skips gradient arithmetic and all
-    # per-atom scatters; measured ~0.65 on the NumPy evaluator at paper
-    # scale (~3400 atoms).
-    energy_only_fraction: float = 0.65
 
 
 #: The paper's serial reference host (Sec. V).  Table 2's per-pair times:
@@ -96,40 +88,12 @@ class CpuModel:
 
     def fft_correlation_s(self, n: int, channels: int) -> float:
         """All FFT correlations of one rotation (fwd FFT + modulate + inv FFT
-        per channel; the protein spectra are precomputed).
-
-        A 3-D transform of an n^3 grid costs ~5 n^3 log2(n^3) flops (three
-        1-D FFT sweeps).
-        """
-        flops = channels * (2 * 5.0 * n**3 * np.log2(float(n) ** 3) + 6.0 * n**3)
-        return flops / (self.spec.effective_gflops * 1e9)
+        per channel; the protein spectra are precomputed)."""
+        return fft_correlation_flops(n, channels) / (self.spec.effective_gflops * 1e9)
 
     def direct_correlation_s(self, n: int, m: int, channels: int) -> float:
         """Direct correlation of one rotation (2 flops per MAC)."""
-        t = n - m + 1
-        flops = 2.0 * t**3 * m**3 * channels
-        return flops / (self.spec.effective_gflops * 1e9)
-
-    def batched_fft_correlation_s(
-        self, n: int, m: int, channels: int, batch: int = 8
-    ) -> float:
-        """Batched-FFT correlation, per rotation amortized over ``batch``.
-
-        The batched path (``repro.docking.batched``) does staged zero-padded
-        forward transforms — per channel one 1-D sweep over ``m*m*n + m*n*n
-        + n^3`` points instead of three over ``n^3`` — plus a single shared
-        inverse transform and one fused channel reduction per rotation.  The
-        receptor spectra are prepared once per batch and amortized.
-        """
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        log_n = np.log2(float(n))
-        fwd = channels * 5.0 * log_n * (m * m * n + m * n * n + n**3)
-        inv = 3.0 * 5.0 * log_n * n**3
-        modulate = 6.0 * channels * n**3
-        # Receptor-side spectra: C forward transforms shared by the batch.
-        prep = channels * 3.0 * 5.0 * log_n * n**3 / batch
-        flops = fwd + inv + modulate + prep
+        flops = direct_correlation_flops(n, m, channels)
         return flops / (self.spec.effective_gflops * 1e9)
 
     def accumulation_s(self, n: int, m: int, desolvation_terms: int) -> float:
@@ -213,47 +177,3 @@ class CpuModel:
         self, conformations: int, iterations: int, pairs: int, atoms: int
     ) -> float:
         return conformations * iterations * self.minimization_iteration_s(pairs, atoms)
-
-    # -- reproduction-host minimization (NumPy evaluator) --------------------------
-    #
-    # The paper-table formulas above model the original serial C code.  The
-    # formulas below model the *reproduction's own* vectorized evaluator,
-    # whose per-iteration cost splits into array arithmetic (linear in
-    # pairs) plus a fixed interpreter/dispatch overhead per evaluation —
-    # the overhead is what ensemble batching amortizes.  Used by
-    # ``repro.minimize.selection``.
-
-    def vectorized_evaluation_s(self, pairs: int, atoms: int, poses: int = 1) -> float:
-        """One NumPy energy/force evaluation of ``poses`` stacked poses."""
-        per_pose = (
-            pairs * self.spec.numpy_pair_ns + atoms * self.spec.numpy_atom_ns
-        ) * 1e-9
-        return poses * per_pose + self.spec.eval_dispatch_ms * 1e-3
-
-    def host_minimization_phase_s(
-        self,
-        conformations: int,
-        iterations: int,
-        pairs: int,
-        atoms: int,
-        batch: int = 1,
-    ) -> float:
-        """Whole minimization phase on the reproduction host.
-
-        ``batch = 1`` is the serial per-pose loop; larger batches evaluate
-        that many poses per NumPy dispatch (the ensemble path).  Each
-        iteration costs one full accepted-point refresh plus one
-        energies-only line-search probe — both the serial and batched
-        minimizers use the kernels' energies-only fast path for the probe,
-        so an iteration is ``1 + energy_only_fraction`` full-evaluation
-        equivalents (historically 2.0, before the serial fast path landed).
-        """
-        if conformations <= 0:
-            return 0.0
-        batch = max(1, min(batch, conformations))
-        evals_per_iteration = 1.0 + self.spec.energy_only_fraction
-        per_iteration = evals_per_iteration * self.vectorized_evaluation_s(
-            pairs, atoms, batch
-        )
-        n_groups = -(-conformations // batch)
-        return n_groups * iterations * per_iteration

@@ -22,6 +22,7 @@ __all__ = [
     "batching_sweep",
     "scheme_ladder",
     "pipeline_makespan",
+    "multi_device_phase_s",
     "multigpu_minimization_scaling",
 ]
 
@@ -250,6 +251,36 @@ def scheme_ladder(
     return rows, times
 
 
+def multi_device_phase_s(
+    n_poses: int,
+    n_pairs: int,
+    n_atoms: int,
+    iterations: int,
+    topology,
+) -> float:
+    """Predicted sharded minimization phase time on ``topology``.
+
+    Busiest-shard makespan of the scheme-C iteration kernels plus the
+    per-shard conformation upload and the serialized template broadcast:
+    the same kernel model and transfer constants the executing
+    :class:`~repro.minimize.multidevice.MultiDeviceMinimizer` ledger uses.
+    """
+    from repro.gpu.minimize_common import scheme_c_iteration_s
+    from repro.minimize.multidevice import (
+        COORD_BYTES_PER_ATOM,
+        TEMPLATE_BYTES_PER_ATOM,
+    )
+
+    if n_poses <= 0:
+        return 0.0
+    plan = topology.plan(n_poses)
+    cost = topology.cost_model()
+    iter_s = scheme_c_iteration_s(n_pairs, n_atoms, topology.device_spec)
+    upload_s = cost.transfer_time(int(plan.largest * n_atoms * COORD_BYTES_PER_ATOM))
+    broadcast_s = topology.broadcast_s(int(n_atoms * TEMPLATE_BYTES_PER_ATOM))
+    return plan.makespan_s(iterations * iter_s, per_shard_s=upload_s) + broadcast_s
+
+
 def multigpu_minimization_scaling(
     device_counts: Sequence[int] = (1, 2, 4, 8),
     conformations: int | None = None,
@@ -262,9 +293,8 @@ def multigpu_minimization_scaling(
     """Predicted (and optionally measured) minimization shard scaling.
 
     For each device count, the sharded phase makespan from
-    :func:`repro.minimize.selection.multi_device_phase_s` — the *same*
-    formula auto-selection prices and the engine's ledger realizes, not a
-    parallel one, so this table cannot drift from what executes.
+    :func:`multi_device_phase_s`, built from the kernel model and transfer
+    constants the engine's ledger realizes.
     Defaults are the paper-scale workload (2000 conformations x ~1150
     iterations over ~10k pairs / 2200 atoms).
 
@@ -282,7 +312,6 @@ def multigpu_minimization_scaling(
     )
     from repro.exec.topology import DeviceTopology, default_device_spec
     from repro.gpu.pipeline import ITERATIONS_PER_CONFORMATION
-    from repro.minimize.selection import multi_device_phase_s
 
     if not device_counts:
         raise ValueError("device_counts must name at least one count")

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.cuda.device import TESLA_C1060, Device
+from repro.cuda.device import Device
+from repro.docking.batched import DEFAULT_FFT_BATCH, fft_batch_limit
 from repro.docking.engine import DockingEngine
 from repro.docking.piper import PiperConfig, PiperDocker
 from repro.docking.selection import (
     CPU_BACKENDS,
-    predict_backend_times,
+    batched_fft_correlation_flops,
+    direct_correlation_flops,
+    fft_correlation_flops,
     select_backend,
 )
+from repro.grids.energyfunctions import num_channels
 
 
 class TestBackendSelection:
@@ -30,41 +34,37 @@ class TestBackendSelection:
         assert decision.backend in ("direct", "fft")
 
     def test_decision_is_argmin_of_predictions(self):
-        decision = select_backend(n=64, m=8, channels=8, num_rotations=100)
-        cpu_times = {k: v for k, v in decision.predictions.items() if k in CPU_BACKENDS}
-        # batched-fft was eligible here, so the winner is the global argmin.
-        assert decision.backend == min(cpu_times, key=cpu_times.get)
-        assert decision.predicted_s == decision.predictions[decision.backend]
+        """The choice is the argmin of per-rotation correlation flops."""
+        for m in (2, 4, 8, 16):
+            decision = select_backend(n=64, m=m, channels=8, num_rotations=100)
+            batch = min(DEFAULT_FFT_BATCH, fft_batch_limit((64, 64, 64), 8))
+            flops = {
+                "direct": direct_correlation_flops(64, m, 8),
+                "fft": fft_correlation_flops(64, 8),
+                "batched-fft": batched_fft_correlation_flops(64, m, 8, batch),
+            }
+            assert decision.backend == min(flops, key=flops.get)
 
-    def test_gpu_included_only_on_request(self):
-        no_gpu = select_backend(n=128, m=4, channels=22, num_rotations=500)
-        assert "gpu-sim" not in no_gpu.predictions
-        with_gpu = select_backend(
-            n=128, m=4, channels=22, num_rotations=500, include_gpu=True
-        )
-        assert "gpu-sim" in with_gpu.predictions
-        # The paper's configuration: the C1060 demolishes the serial CPU.
-        assert with_gpu.backend == "gpu-sim"
-        assert with_gpu.predictions["gpu-sim"] < with_gpu.predictions["direct"]
-
-    def test_predictions_cover_backends(self):
-        times = predict_backend_times(
-            n=64, m=4, channels=8, num_rotations=10, device_spec=TESLA_C1060
-        )
-        assert set(times) == {"direct", "fft", "batched-fft", "gpu-sim"}
-        assert all(t > 0 for t in times.values())
+    def test_gpu_included_only_on_request(self, small_protein, ethanol):
+        # auto never picks the virtual device; naming it runs it.
+        for m in (2, 4, 16):
+            for rotations in (1, 500):
+                choice = select_backend(128, m, 22, num_rotations=rotations)
+                assert choice.backend in CPU_BACKENDS
+        cfg = PiperConfig(num_rotations=2, receptor_grid=32, probe_grid=4)
+        engine = DockingEngine(small_protein, ethanol, cfg, backend="gpu-sim")
+        assert engine.backend == "gpu-sim"
 
     def test_batching_amortizes_prep(self):
-        from repro.perf.cpumodel import CpuModel
-
-        cpu = CpuModel()
-        t1 = cpu.batched_fft_correlation_s(64, 4, 8, batch=1)
-        t8 = cpu.batched_fft_correlation_s(64, 4, 8, batch=8)
+        t1 = batched_fft_correlation_flops(64, 4, 8, batch=1)
+        t8 = batched_fft_correlation_flops(64, 4, 8, batch=8)
         assert t8 < t1
 
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            select_backend(n=32, m=4, channels=4, num_rotations=8, batch_size=0)
+    def test_bad_batch_size_rejected(self, small_protein, ethanol):
+        cfg = PiperConfig(num_rotations=8, receptor_grid=32, probe_grid=4)
+        for backend in ("direct", "auto", "gpu-sim"):
+            with pytest.raises(ValueError):
+                DockingEngine(small_protein, ethanol, cfg, backend=backend, batch_size=0)
 
 
 class TestDockingEngineFacade:
@@ -88,7 +88,10 @@ class TestDockingEngineFacade:
     def test_auto_resolves_to_concrete_backend(self, small_protein, ethanol, cfg):
         engine = DockingEngine(small_protein, ethanol, cfg, backend="auto")
         assert engine.backend in CPU_BACKENDS
-        assert engine.decision.backend == engine.backend
+        channels = num_channels(cfg.n_desolvation_terms)
+        assert engine.backend == select_backend(
+            cfg.receptor_grid, cfg.probe_grid, channels, cfg.num_rotations
+        ).backend
 
     def test_run_detailed_provenance(self, small_protein, ethanol, cfg):
         engine = DockingEngine(small_protein, ethanol, cfg, backend="batched-fft")
@@ -107,6 +110,24 @@ class TestDockingEngineFacade:
         assert run.predicted_device_time_s is not None
         assert run.predicted_device_time_s > 0
 
+    @pytest.mark.parametrize("explicit", [None, 2])
+    def test_engine_batch_is_run_batch(self, small_protein, ethanol, explicit):
+        """The batch the facade reports is the batch every backend runs;
+        gpu-sim honours an explicit batch under its constant-memory cap."""
+        cfg = PiperConfig(
+            num_rotations=6, receptor_grid=32, probe_grid=4, grid_spacing=1.25
+        )
+        for backend in ("direct", "fft", "batched-fft", "auto", "gpu-sim"):
+            engine = DockingEngine(
+                small_protein, ethanol, cfg, backend=backend, batch_size=explicit
+            )
+            run = engine.run_detailed()
+            assert engine.batch_size == run.batch_size, backend
+            if explicit is not None:
+                assert run.batch_size == explicit, backend
+        gpu = DockingEngine(small_protein, ethanol, cfg, backend="gpu-sim")
+        assert gpu.batch_size == 32   # the C1060's constant-memory cap here
+
     def test_gpu_sim_partial_run(self, small_protein, ethanol, cfg):
         engine = DockingEngine(small_protein, ethanol, cfg, backend="gpu-sim")
         poses = engine.run([1, 3])
@@ -120,7 +141,8 @@ class TestDockingEngineFacade:
         )
         engine = DockingEngine(small_protein, ethanol, cfg, backend="batched-fft")
         # The conflict is real: the selector would have picked direct here.
-        assert engine.decision.backend == "direct"
+        channels = num_channels(cfg.n_desolvation_terms)
+        assert select_backend(32, 2, channels, num_rotations=8).backend == "direct"
         assert engine.batch_size > 1
 
     def test_config_engine_is_default_backend(self, small_protein, ethanol):

@@ -4,16 +4,15 @@ import pytest
 
 from repro.cuda.device import TESLA_C1060
 from repro.cuda.multigpu import MultiGpuConfig
-from repro.docking.selection import select_backend
 from repro.exec import (
     DEFAULT_TOPOLOGY,
     DeviceTopology,
     ShardPlan,
     default_device_spec,
     default_topology,
-    host_model,
 )
-from repro.minimize.selection import predict_minimize_times, select_minimize_backend
+from repro.minimize.selection import DEFAULT_MINIMIZE_BATCH, select_minimize_backend
+from repro.perf.speedup import multi_device_phase_s
 
 FTMAP_PAIRS = 10_000
 FTMAP_ATOMS = 2_200
@@ -86,22 +85,10 @@ class TestDeviceTopology:
         assert default_topology(1) is DEFAULT_TOPOLOGY
         assert default_topology(4).num_devices == 4
         assert default_device_spec() is TESLA_C1060
-        assert host_model() is host_model()   # one shared instance
 
 
 class TestSharedConstantsNoDrift:
-    """Both selection layers source machine constants from repro.exec."""
-
-    def test_docking_gpu_fallback_matches_topology(self):
-        implicit = select_backend(48, 4, 8, num_rotations=16, include_gpu=True)
-        assert implicit.predictions["gpu-sim"] > 0
-
-    def test_selectors_share_one_host_model(self):
-        # The same CpuModel instance prices both phases: identical
-        # constants by construction, not by parallel definitions.
-        dock = select_backend(48, 4, 8, num_rotations=16)
-        mini = select_minimize_backend(12, FTMAP_PAIRS, FTMAP_ATOMS, 60)
-        assert dock.predictions and mini.predictions
+    """Multi-device docking describes its devices with repro.exec."""
 
     def test_multigpu_config_exposes_topology(self):
         topo = MultiGpuConfig(num_gpus=4).topology()
@@ -112,47 +99,40 @@ class TestSharedConstantsNoDrift:
 
 class TestTopologyAwareMinimizeSelection:
     def test_multi_gpu_prediction_appears_with_topology(self):
-        times = predict_minimize_times(
-            2000, FTMAP_PAIRS, FTMAP_ATOMS, 60,
-            topology=DeviceTopology(num_devices=4),
-        )
-        assert "multi-gpu-sim" in times
-        assert "gpu-sim" in times          # implied by the topology's spec
+        # The sharded-phase model is paper-table output: it needs a topology.
+        topo = DeviceTopology(num_devices=4)
+        assert multi_device_phase_s(2000, FTMAP_PAIRS, FTMAP_ATOMS, 60, topo) > 0
+        assert multi_device_phase_s(0, FTMAP_PAIRS, FTMAP_ATOMS, 60, topo) == 0.0
 
     def test_prediction_scales_down_with_devices(self):
         def phase(g):
-            return predict_minimize_times(
-                2000, FTMAP_PAIRS, FTMAP_ATOMS, 60,
-                topology=DeviceTopology(num_devices=g),
-            )["multi-gpu-sim"]
+            return multi_device_phase_s(
+                2000, FTMAP_PAIRS, FTMAP_ATOMS, 60, DeviceTopology(num_devices=g)
+            )
 
         t1, t2, t4 = phase(1), phase(2), phase(4)
         assert t1 > t2 > t4
-        assert t1 / t4 > 1.5               # the CI gate's floor, at selection level
+        assert t1 / t4 > 1.5               # the CI gate's floor, in the model
 
     def test_auto_ignores_multi_gpu_without_topology(self):
-        d = select_minimize_backend(2000, FTMAP_PAIRS, FTMAP_ATOMS, 60)
-        assert "multi-gpu-sim" not in d.predictions
-        assert d.backend != "multi-gpu-sim"
+        d = select_minimize_backend(2000, FTMAP_PAIRS)
+        assert d.backend == "batched"
 
     def test_auto_ignores_single_device_topology(self):
         d = select_minimize_backend(
-            2000, FTMAP_PAIRS, FTMAP_ATOMS, 60,
-            topology=DeviceTopology(num_devices=1),
+            2000, FTMAP_PAIRS, topology=DeviceTopology(num_devices=1)
         )
-        assert "multi-gpu-sim" in d.predictions   # priced, for the table
-        assert d.backend != "multi-gpu-sim"       # but never auto-picked
+        assert d.backend == "batched"
 
     def test_auto_picks_sharded_devices_when_topology_given(self):
         d = select_minimize_backend(
-            2000, FTMAP_PAIRS, FTMAP_ATOMS, 60,
-            topology=DeviceTopology(num_devices=4),
+            2000, FTMAP_PAIRS, topology=DeviceTopology(num_devices=4)
         )
         assert d.backend == "multi-gpu-sim"
+        assert d.batch_size == DEFAULT_MINIMIZE_BATCH
 
     def test_single_pose_never_shards(self):
         d = select_minimize_backend(
-            1, FTMAP_PAIRS, FTMAP_ATOMS, 60,
-            topology=DeviceTopology(num_devices=4),
+            1, FTMAP_PAIRS, topology=DeviceTopology(num_devices=4)
         )
         assert d.backend not in ("batched", "multi-gpu-sim")

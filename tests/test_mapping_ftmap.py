@@ -402,3 +402,56 @@ class TestDockResultKeyGoldens:
             receptor, build_probe("ethanol"), FTMapConfig(**dict(fields))
         )
         assert key == "dock-results/" + self.GOLDENS[fields]
+
+
+class TestLegacyDockRunEntries:
+    """4.0.0 pickled a ``BackendDecision`` into every cached ``DockingRun``.
+    The class is gone, so such an entry cannot load: the disk tier must drop
+    it as corrupt and the dock stage recompute, under the same key."""
+
+    def test_entry_naming_deleted_decision_class_is_recomputed(
+        self, tmp_path, monkeypatch
+    ):
+        from dataclasses import dataclass
+
+        import repro.docking.selection as selection
+        from repro.cache import CacheManager
+        from repro.cache.store import DiskStore
+        from repro.docking.engine import DockingRun
+        from repro.mapping.ftmap import _dock_result_key
+
+        @dataclass(frozen=True)
+        class BackendDecision:       # the 4.0.0 record, under its old name
+            backend: str
+            batch_size: int
+            predictions: dict
+
+        BackendDecision.__module__ = "repro.docking.selection"
+        BackendDecision.__qualname__ = "BackendDecision"
+        receptor = synthetic_protein(n_residues=30, seed=11)
+        probe = build_probe("ethanol")
+        cfg = FTMapConfig(
+            probe_names=("ethanol",), num_rotations=2, receptor_grid=32,
+            grid_spacing=1.25,
+        )
+        key = _dock_result_key(receptor, probe, cfg)
+        legacy = DockingRun(poses=[], backend="direct", batch_size=1)
+        legacy.decision = BackendDecision("direct", 1, {"direct": 1e-3})
+        with monkeypatch.context() as patch:
+            patch.setattr(selection, "BackendDecision", BackendDecision, raising=False)
+            DiskStore(tmp_path).put(key, legacy)
+        (entry,) = tmp_path.rglob("*.bin")
+        assert b"repro.docking.selection" in entry.read_bytes()
+        assert b"BackendDecision" in entry.read_bytes()
+
+        manager = CacheManager(policy="disk", directory=str(tmp_path))
+        run = dock_probe(receptor, probe, cfg, cache=manager)
+        assert len(run.poses) == cfg.num_rotations * cfg.poses_per_rotation
+        assert manager.stats.corrupt_entries == 1
+        # The recomputed run replaced the legacy entry under the same key.
+        again = CacheManager(policy="disk", directory=str(tmp_path))
+        hit = dock_probe(receptor, probe, cfg, cache=again)
+        assert again.stats.disk_hits == 1
+        assert [(p.rotation_index, p.translation) for p in hit.poses] == [
+            (p.rotation_index, p.translation) for p in run.poses
+        ]

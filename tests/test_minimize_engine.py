@@ -60,6 +60,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             MinimizationEngine(complex_mol, stack, precision="quad")
 
+    def test_bad_batch_size_rejected(self, complex_mol, ensemble):
+        stack, _ = ensemble
+        for backend in ("auto", "batched", "serial"):
+            with pytest.raises(ValueError, match="batch_size"):
+                MinimizationEngine(complex_mol, stack, backend=backend, batch_size=0)
+
     def test_single_pose_promotion(self, complex_mol, ensemble, config):
         stack, masks = ensemble
         eng = MinimizationEngine(
@@ -143,7 +149,6 @@ class TestAutoSelection:
             complex_mol, stack, movable=masks, config=config, backend="auto"
         )
         assert eng.backend in ("serial", "batched")
-        assert "gpu-sim" not in eng.decision.predictions
 
     def test_auto_picks_batched_for_ensembles(self, complex_mol, ensemble, config):
         """At FTMap pair counts the dispatch amortization wins for P >= 2."""
@@ -167,12 +172,3 @@ class TestAutoSelection:
         )
         run = eng.run_detailed()
         assert run.results == []
-
-    def test_decision_has_all_cpu_predictions(self, complex_mol, ensemble, config):
-        stack, masks = ensemble
-        eng = MinimizationEngine(
-            complex_mol, stack, movable=masks, config=config
-        )
-        assert {"serial", "batched"} <= set(
-            eng.decision.predictions
-        )
