@@ -4,7 +4,7 @@
 The paper's stated future work is a multi-GPU FTMap server (Sec. VI).
 This example walks that path end to end on virtual devices:
 
-1. a :class:`~repro.exec.DeviceTopology` describes the node (here 4
+1. a :class:`~repro.cuda.multigpu.DeviceTopology` describes the node (here 4
    virtual Tesla C1060s) and the predicted shard scaling of the
    minimization phase comes straight from the shared cost models,
 2. a :class:`~repro.api.MapRequest` asks for sharded minimization with
@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro import FTMapConfig, synthetic_protein
 from repro.api import FTMapService, MapRequest
 from repro.cache import CacheManager
-from repro.exec import DeviceTopology
+from repro.cuda.multigpu import DeviceTopology
 from repro.perf.speedup import multigpu_minimization_scaling
 from repro.perf.tables import render_table
 from repro.obs.logging import RunLogger

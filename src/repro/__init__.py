@@ -10,12 +10,13 @@ The package rebuilds the full FTMap system the paper accelerates —
 * the binding-site mapping application (probe library, clustering,
   consensus hotspots): :mod:`repro.mapping`, :mod:`repro.structure`,
 
-— plus the paper's contribution, the GPU port, on a *virtual CUDA device*
-(Tesla C1060 execution/cost model): :mod:`repro.cuda`, :mod:`repro.gpu`,
-with the serial/multicore reference models and the table/figure
-reproduction harness in :mod:`repro.perf`, and the unified telemetry
-layer (request tracing, metrics registry, structured logging) in
-:mod:`repro.obs`.
+— plus the unified telemetry layer (request tracing, metrics registry,
+structured logging) in :mod:`repro.obs`.  The paper's contribution, the
+GPU port, is modelled on a *virtual CUDA device* (Tesla C1060
+execution/cost model) in :mod:`repro.cuda` and :mod:`repro.gpu`, with the
+serial/multicore reference models and the table/figure reproduction
+harness in :mod:`repro.perf`.  Those three packages predict; the runtime
+computes, and ``import repro`` loads none of them.
 
 The public front door is the session-scoped mapping service
 (:mod:`repro.api`)::
@@ -80,8 +81,7 @@ from repro.mapping import (
     cluster_poses,
 )
 from repro.cache import CacheManager, CacheStats, resolve_manager
-from repro.cuda import Device, DeviceSpec, TESLA_C1060
-from repro.exec import DeviceTopology, ShardPlan, default_topology
+from repro.exec import ShardPlan
 from repro.api import (
     FTMapService,
     MapRequest,
@@ -93,7 +93,7 @@ from repro.api import (
 )
 from repro.obs import MetricsRegistry, Tracer, metrics_registry
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "Molecule",
@@ -147,12 +147,7 @@ __all__ = [
     "JobCancelled",
     "ProgressEvent",
     "receptor_fingerprint",
-    "Device",
-    "DeviceSpec",
-    "TESLA_C1060",
-    "DeviceTopology",
     "ShardPlan",
-    "default_topology",
     "Tracer",
     "MetricsRegistry",
     "metrics_registry",

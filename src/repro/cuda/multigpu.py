@@ -17,40 +17,74 @@ uploads on every device, and (iii) load imbalance from integer division of
 the work items.  There is no inter-GPU communication — the reduction of
 filtered poses is a host-side merge of k x rotations tiny records.
 
-The device math lives in the shared execution-topology layer
-(:mod:`repro.exec`): :class:`MultiGpuConfig` is a thin front over a
-:class:`~repro.exec.topology.DeviceTopology`, and the per-phase work
-split is a :class:`~repro.exec.plan.ShardPlan` — the same plan the
-minimization engine executes for real
-(:mod:`repro.minimize.multidevice`), so the docking model and the
-minimization implementation cannot disagree about sharding.
+A node is a :class:`DeviceTopology`: *N* homogeneous virtual devices with
+the serialized host-side broadcast model.  Its per-phase work split is a
+:class:`~repro.exec.plan.ShardPlan` — the same plan the minimization
+engine executes for real (:mod:`repro.minimize.multidevice`), so the
+model and the implementation cannot disagree about sharding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
+from repro.cuda.costmodel import CostModel
 from repro.cuda.device import Device, DeviceSpec, TESLA_C1060
-from repro.exec.topology import DeviceTopology
+from repro.exec.plan import ShardPlan
 
-__all__ = ["MultiGpuConfig", "MultiGpuTimes", "multi_gpu_mapping_times", "scaling_curve"]
+__all__ = [
+    "VirtualDevice",
+    "DeviceTopology",
+    "MultiGpuTimes",
+    "multi_gpu_mapping_times",
+    "scaling_curve",
+]
 
 
 @dataclass(frozen=True)
-class MultiGpuConfig:
-    """A homogeneous multi-GPU node."""
+class VirtualDevice:
+    """One addressable device of a topology."""
 
-    num_gpus: int
-    spec: DeviceSpec = TESLA_C1060
+    index: int
+    spec: DeviceSpec
+
+
+@dataclass(frozen=True)
+class DeviceTopology:
+    """A homogeneous multi-GPU node: ``num_devices`` copies of one spec."""
+
+    num_devices: int = 1
+    device_spec: DeviceSpec = TESLA_C1060
 
     def __post_init__(self) -> None:
-        if self.num_gpus < 1:
-            raise ValueError("need at least one GPU")
+        if self.num_devices < 1:
+            raise ValueError(f"num_devices must be >= 1, got {self.num_devices}")
 
-    def topology(self) -> DeviceTopology:
-        """This node as a shared execution topology."""
-        return DeviceTopology(num_devices=self.num_gpus, device_spec=self.spec)
+    @property
+    def devices(self) -> Tuple[VirtualDevice, ...]:
+        return tuple(
+            VirtualDevice(index=i, spec=self.device_spec)
+            for i in range(self.num_devices)
+        )
+
+    def cost_model(self) -> CostModel:
+        """Per-device GPU cost model."""
+        return CostModel(self.device_spec)
+
+    def plan(self, n_items: int) -> ShardPlan:
+        """Balanced contiguous shard plan of ``n_items`` over the devices."""
+        return ShardPlan.contiguous(n_items, self.num_devices)
+
+    def broadcast_s(self, n_bytes: int) -> float:
+        """One ``n_bytes`` host->device copy to *every* device, serialized.
+
+        PCIe transfers of this era serialize through the host, so the
+        broadcast costs ``num_devices`` full copies — the shared-input
+        model of both the docking receptor-grid broadcast and the
+        minimization template broadcast.
+        """
+        return self.num_devices * self.cost_model().transfer_time(n_bytes)
 
 
 @dataclass
@@ -67,23 +101,22 @@ class MultiGpuTimes:
 
 
 def multi_gpu_mapping_times(
-    config: MultiGpuConfig,
+    topology: DeviceTopology,
     rotations: int = 500,
     conformations: int = 2000,
     **pipeline_kwargs,
 ) -> MultiGpuTimes:
-    """Predict per-probe mapping time on ``config.num_gpus`` devices.
+    """Predict per-probe mapping time on ``topology.num_devices`` devices.
 
     Work items shard contiguously across devices
-    (:meth:`~repro.exec.topology.DeviceTopology.plan`); wall-clock per
+    (:meth:`DeviceTopology.plan`); wall-clock per
     phase is the busiest device (ceil-division load imbalance).  Each
     device receives the receptor grids once (22 channels x 128^3 floats
     ~ 184 MB), serialized through the host.
     """
     from repro.gpu.pipeline import GpuFTMapPipeline, ITERATIONS_PER_CONFORMATION
 
-    topology = config.topology()
-    pipe = GpuFTMapPipeline(Device(config.spec), **pipeline_kwargs)
+    pipe = GpuFTMapPipeline(Device(topology.device_spec), **pipeline_kwargs)
 
     per_rotation = pipe.docking_times().total_per_rotation_s
     per_iteration = pipe.minimization_times().total_per_iteration_s
@@ -112,12 +145,12 @@ def scaling_curve(
     would see before any algorithmic changes.
     """
     base = multi_gpu_mapping_times(
-        MultiGpuConfig(1), rotations, conformations, **pipeline_kwargs
+        DeviceTopology(1), rotations, conformations, **pipeline_kwargs
     ).total_s
     out: Dict[int, float] = {}
     for g in range(1, max_gpus + 1):
         t = multi_gpu_mapping_times(
-            MultiGpuConfig(g), rotations, conformations, **pipeline_kwargs
+            DeviceTopology(g), rotations, conformations, **pipeline_kwargs
         ).total_s
         out[g] = base / t
     return out

@@ -5,29 +5,25 @@ ablation benchmarks — funnels through :class:`DockingEngine`, and this
 module is the only place that turns a backend name into a correlation
 engine and a rotation batch size.  The facade
 
-1. resolves a backend (``direct`` / ``fft`` / ``batched-fft`` / ``gpu-sim``
-   / ``auto``) once; ``auto`` is the host backend with the fewest
-   correlation flops per rotation (:mod:`repro.docking.selection`),
-2. builds the matching execution path — a :class:`PiperDocker` running the
-   chosen :class:`~repro.docking.correlation.CorrelationEngine`, or the
-   virtual-GPU :class:`~repro.gpu.docking_pipeline.GpuPiperDocker` for
-   ``gpu-sim``,
+1. resolves a backend (``direct`` / ``fft`` / ``batched-fft`` / ``auto``)
+   once; ``auto`` is the backend with the fewest correlation flops per
+   rotation (:mod:`repro.docking.selection`),
+2. builds a :class:`PiperDocker` running the matching
+   :class:`~repro.docking.correlation.CorrelationEngine`,
 3. runs rotations through the batched loop, in batches of the explicit
    ``batch_size``, else :attr:`PiperConfig.batch_size`, else the engine's
-   :meth:`~repro.docking.correlation.CorrelationEngine.default_batch`;
-   ``gpu-sim`` caps any batch at what fits the device's constant memory,
-   which is also its default.
+   :meth:`~repro.docking.correlation.CorrelationEngine.default_batch`.
 
-All backends produce the same poses (tested); they differ in wall-clock
-and, for ``gpu-sim``, in the predicted-device-time ledger attached to the
-result.
+All backends produce the same poses (tested); they differ in wall-clock.
+The paper's virtual-GPU docking path is a model, not a backend: it lives
+in :mod:`repro.gpu.docking_pipeline`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.docking.batched import BatchedFFTCorrelationEngine
 from repro.docking.correlation import CorrelationEngine
@@ -42,11 +38,11 @@ from repro.structure.molecule import Molecule
 __all__ = ["DockingEngine", "DockingRun", "BACKEND_NAMES"]
 
 #: Backends the facade can execute.
-BACKEND_NAMES = CPU_BACKENDS + ("gpu-sim", "auto")
+BACKEND_NAMES = CPU_BACKENDS + ("auto",)
 
 
 def _correlation_engine(name: str, cache) -> CorrelationEngine:
-    """The correlation engine of a resolved CPU backend.
+    """The correlation engine of a resolved backend.
 
     Spectra go through the artifact cache only when one is active;
     otherwise the FFT engines use the shared in-process spectra manager
@@ -67,7 +63,6 @@ class DockingRun:
     poses: List[DockedPose]
     backend: str
     batch_size: int
-    predicted_device_time_s: Optional[float] = None   # gpu-sim only
 
 
 class DockingEngine:
@@ -81,16 +76,12 @@ class DockingEngine:
         :class:`PiperConfig`: the docking workload.
     backend:
         One of :data:`BACKEND_NAMES` (default ``"direct"``).  ``"auto"``
-        picks the CPU backend with the fewest correlation flops;
-        ``"gpu-sim"`` routes through the virtual-device pipeline.
+        picks the backend with the fewest correlation flops.
     batch_size:
         Rotations per batched pass; overrides ``config.batch_size``.
-        ``gpu-sim`` caps it at the device's constant-memory batch.
     workers:
         Kept so 1.x callers that pass it still run; must be ``None`` or
         ``1``, because rotations are gridded in the calling thread.
-    device:
-        Virtual device for ``gpu-sim`` (defaults to the paper's C1060).
     cache:
         Optional :class:`~repro.cache.manager.CacheManager`: serves the
         receptor grid build and, when enabled, the FFT engines' receptor
@@ -105,7 +96,6 @@ class DockingEngine:
         backend: str = "direct",
         batch_size: int | None = None,
         workers: int | None = None,
-        device=None,
         cache=None,
     ) -> None:
         if workers not in (None, 1):
@@ -135,23 +125,10 @@ class DockingEngine:
             receptor,
             probe,
             cfg,
-            engine=None if backend == "gpu-sim" else _correlation_engine(backend, cache),
+            engine=_correlation_engine(backend, cache),
             cache=cache,
         )
-        self._gpu = None
-        if backend == "gpu-sim":
-            from repro.cuda.device import Device
-            from repro.gpu.docking_pipeline import GpuPiperDocker
-
-            self._gpu = GpuPiperDocker(
-                receptor,
-                probe,
-                replace(cfg, batch_size=batch_size),
-                device=device or Device(),
-                serial=self.docker,
-            )
-            batch_size = self._gpu.batch_size
-        elif batch_size is None:
+        if batch_size is None:
             batch_size = self.docker.engine.default_batch(self.docker.receptor_grids)
         self.batch_size = batch_size
 
@@ -164,21 +141,10 @@ class DockingEngine:
     def run_detailed(
         self, rotation_indices: Sequence[int] | None = None
     ) -> DockingRun:
-        """Dock and report backend provenance (and GPU time ledger)."""
+        """Dock and report backend provenance."""
         t_start = time.perf_counter()
-        if self._gpu is not None:
-            res = self._gpu.run(rotation_indices)
-            run = DockingRun(
-                poses=res.poses,
-                backend=self.backend,
-                batch_size=res.batch_size,
-                predicted_device_time_s=res.predicted_device_time_s,
-            )
-        else:
-            poses = self.docker.run(rotation_indices, batch_size=self.batch_size)
-            run = DockingRun(
-                poses=poses, backend=self.backend, batch_size=self.batch_size
-            )
+        poses = self.docker.run(rotation_indices, batch_size=self.batch_size)
+        run = DockingRun(poses=poses, backend=self.backend, batch_size=self.batch_size)
         n_rotations = (
             len(rotation_indices)
             if rotation_indices is not None
@@ -193,11 +159,10 @@ class DockingEngine:
             "repro_dock_rotations_total", ("backend",),
             help="Rotations docked, by backend.",
         ).inc(n_rotations, backend=self.backend)
-        batch = run.batch_size or 1
         reg.counter(
             "repro_dock_batches_total", ("backend",),
             help="Correlation batches (FFT or direct chunks) executed.",
-        ).inc(-(-n_rotations // batch), backend=self.backend)
+        ).inc(-(-n_rotations // run.batch_size), backend=self.backend)
         reg.histogram(
             "repro_dock_run_seconds", ("backend",),
             help="Wall seconds per docking run.",

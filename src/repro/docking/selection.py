@@ -15,7 +15,6 @@ smaller than a certain size, direct correlation can perform better than
 FFT"): FTMap probes (``m <= 4``) land on ``direct``, large ligands on an
 FFT path.  The flop formulas live here once; the paper-table CPU model
 (:class:`repro.perf.cpumodel.CpuModel`) divides them by its GFLOP/s.
-``gpu-sim`` is never auto-selected: the virtual device computes on the host.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ __all__ = [
     "select_backend",
 ]
 
-#: Backends that execute real host arithmetic (auto-selectable everywhere).
+#: The concrete backends ``auto`` chooses among.
 CPU_BACKENDS = ("direct", "fft", "batched-fft")
 
 

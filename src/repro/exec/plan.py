@@ -9,8 +9,9 @@ driver under ceil-division imbalance), and in what order per-device
 results merge back (the deterministic reduction that keeps multi-device
 runs bitwise-comparable to single-device ones).
 
-:class:`ShardPlan` answers all three once, so the docking and
-minimization shard logic cannot drift apart.
+:class:`ShardPlan` answers all three once, so the multi-GPU model
+(:mod:`repro.cuda.multigpu`) and the executing minimizer
+(:mod:`repro.minimize.multidevice`) cannot drift apart.
 """
 
 from __future__ import annotations

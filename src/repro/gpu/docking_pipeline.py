@@ -11,7 +11,7 @@ tested identical to the serial ``PiperDocker.run``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.docking.piper import DockedPose, PiperConfig, PiperDocker
 from repro.cuda.device import Device
@@ -47,15 +47,10 @@ class GpuPiperDocker:
         probe: Molecule,
         config: PiperConfig | None = None,
         device: Device | None = None,
-        serial: Optional[PiperDocker] = None,
     ) -> None:
-        # The DockingEngine facade shares its PiperDocker (receptor grids are
-        # expensive to rebuild); standalone use constructs a fresh one.
-        self.serial = serial or PiperDocker(receptor, probe, config)
+        self.serial = PiperDocker(receptor, probe, config)
         self.device = device or Device()
-        # An explicit ``config`` wins over the shared docker's (the facade
-        # hands down its resolved batch this way).
-        cfg = config or self.serial.config
+        cfg = self.serial.config
         limit = max_batch_rotations(
             cfg.probe_grid,
             self.serial.receptor_grids.n_channels,

@@ -8,8 +8,7 @@ come from the vectorized reference implementations.
 :func:`energy_kernel_launch` is the one place the per-pair profiles turn
 into a :class:`~repro.cuda.kernel.KernelLaunch`: the scheme-C kernel
 simulation (:mod:`repro.gpu.minimize_kernels`), the whole-pipeline roll-up
-(:mod:`repro.gpu.pipeline`), the multi-device minimization ledger
-(:mod:`repro.minimize.multidevice`) and its shard-scaling model
+(:mod:`repro.gpu.pipeline`) and the multi-device shard-scaling model
 (:func:`repro.perf.speedup.multi_device_phase_s`) all build their launches
 here, so their predictions cannot drift apart.
 """

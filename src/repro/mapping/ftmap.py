@@ -78,7 +78,7 @@ class FTMapConfig:
 
     ``engine`` selects the docking backend (any
     :class:`~repro.docking.engine.DockingEngine` backend, including
-    ``"gpu-sim"`` and ``"auto"``); ``minimize_engine`` selects the
+    ``"auto"``); ``minimize_engine`` selects the
     minimization backend (any
     :class:`~repro.minimize.engine.MinimizationEngine` backend, default
     ``"auto"``).  ``minimize_devices`` shards the minimization ensemble
@@ -425,7 +425,6 @@ class MinimizeStage:
     shards: Tuple[ShardExecution, ...] = ()
     reduction_order: Tuple[int, ...] = ()
     cached: bool = False
-    predicted_makespan_s: Optional[float] = None
 
     @property
     def shard_sizes(self) -> Tuple[int, ...]:
@@ -433,13 +432,11 @@ class MinimizeStage:
 
 
 #: Numerics families of the minimization backends: every backend in a
-#: family produces bitwise-identical per-pose results (serial == gpu-sim's
-#: fp64 reference numerics; batched == multi-gpu-sim's fp32 lock-step
-#: arithmetic, shard/batch-invariant), so cached ensembles are shared
-#: within a family and never across.
+#: family produces bitwise-identical per-pose results (batched ==
+#: multi-gpu-sim's fp32 lock-step arithmetic, shard/batch-invariant), so
+#: cached ensembles are shared within a family and never across.
 _MINIMIZE_NUMERICS_FAMILY = {
     "serial": "serial-fp64",
-    "gpu-sim": "serial-fp64",
     "batched": "batched-fp32",
     "multi-gpu-sim": "batched-fp32",
 }
@@ -464,7 +461,7 @@ def _minimize_result_key(
     **shard-invariant**: device count and batch size are excluded because
     per-pose results are independent of how the ensemble is sharded or
     batched (the multi-device reduction is deterministic, tested
-    bitwise), so a warm repeat skips minimization whatever topology it
+    bitwise), so a warm repeat skips minimization whatever device count it
     asks for.
     """
     family = _MINIMIZE_NUMERICS_FAMILY[resolved_backend]
@@ -584,16 +581,15 @@ def minimize_poses(
         # measured on its worker threads: recorded post hoc so the trace
         # shows true shard overlap without plumbing obs into the engine.
         for shard in run.shards:
-            if shard.wall_s > 0.0:
-                tracer.add_span(
-                    "minimize-shard",
-                    shard.wall_start_s,
-                    shard.wall_start_s + shard.wall_s,
-                    parent=span,
-                    thread=f"minimize-device-{shard.device_index}",
-                    device=shard.device_index,
-                    n_poses=shard.n_poses,
-                )
+            tracer.add_span(
+                "minimize-shard",
+                shard.wall_start_s,
+                shard.wall_start_s + shard.wall_s,
+                parent=span,
+                thread=f"minimize-device-{shard.device_index}",
+                device=shard.device_index,
+                n_poses=shard.n_poses,
+            )
     centers = np.stack([r.coords[-n_probe:].mean(axis=0) for r in run.results])
     energies = np.array([r.energy for r in run.results], dtype=float)
     stage = MinimizeStage(
@@ -604,7 +600,6 @@ def minimize_poses(
         devices=run.num_devices,
         shards=run.shards,
         reduction_order=run.reduction_order,
-        predicted_makespan_s=run.predicted_device_time_s,
     )
     if manager.enabled:
         manager.put(

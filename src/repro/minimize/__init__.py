@@ -11,8 +11,8 @@ The batched subsystem refines whole ensembles of docked conformations:
 :class:`EnsembleEnergyModel` evaluates a ``(P, N, 3)`` stack in one
 vectorized pass, :class:`BatchedMinimizer` advances every pose in lock-step
 with per-pose convergence, and :class:`MinimizationEngine` is the facade
-that runs ``serial | batched | gpu-sim | multi-gpu-sim``, ``auto``
-choosing by rule (:mod:`repro.minimize.selection`).
+that runs ``serial | batched | multi-gpu-sim``, ``auto`` choosing by
+rule (:mod:`repro.minimize.selection`).
 """
 
 from repro.minimize.neighborlist import NeighborList, build_neighbor_list, bonded_exclusions

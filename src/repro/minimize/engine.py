@@ -5,17 +5,15 @@ every ensemble-refinement scenario — the FTMap minimization stage, the
 equivalence tests, the benchmarks — funnels through
 :class:`MinimizationEngine`.  The facade
 
-1. resolves a backend (``serial`` / ``batched`` / ``gpu-sim`` /
-   ``multi-gpu-sim`` / ``auto``); ``auto`` follows the rule of
+1. resolves a backend (``serial`` / ``batched`` / ``multi-gpu-sim`` /
+   ``auto``); ``auto`` follows the rule of
    :mod:`repro.minimize.selection` on the ensemble size, the pair count
-   and, when a :class:`~repro.exec.topology.DeviceTopology` of two or
-   more devices is named, shards over it,
+   and, when two or more ``devices`` are named, shards over them,
 2. builds the matching execution path — per-pose serial
    :class:`~repro.minimize.minimizer.Minimizer` runs, a
    :class:`~repro.minimize.batched.BatchedMinimizer` over an
-   :class:`~repro.minimize.ensemble.EnsembleEnergyModel`, the serial
-   path with a scheme-C virtual-GPU time ledger for ``gpu-sim``, or the
-   sharded :class:`~repro.minimize.multidevice.MultiDeviceMinimizer` for
+   :class:`~repro.minimize.ensemble.EnsembleEnergyModel`, or the sharded
+   :class:`~repro.minimize.multidevice.MultiDeviceMinimizer` for
    ``multi-gpu-sim``,
 3. runs the ensemble and returns per-pose
    :class:`~repro.minimize.minimizer.MinimizationResult` lists.
@@ -26,7 +24,8 @@ configuration evaluates in float32 — the paper's GPU arithmetic — and
 agrees within single-precision tolerance.  ``multi-gpu-sim`` is
 bitwise-identical to ``batched`` at the same precision whatever the
 device count (per-pose numerics are shard-invariant; the reduction order
-is fixed by the plan).
+is fixed by the plan).  The paper's virtual-GPU minimization kernels are
+a model, not a backend: they live in :mod:`repro.gpu.minimize_kernels`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.constants import NEIGHBOR_LIST_CUTOFF, VDW_CUTOFF
-from repro.exec.topology import DeviceTopology, default_topology
 from repro.minimize.batched import BatchedMinimizer
 from repro.minimize.energy import EnergyModel
 from repro.minimize.ensemble import EnsembleEnergyModel
@@ -56,7 +54,7 @@ from repro.util.parallel import chunked
 __all__ = ["MinimizationEngine", "MinimizationRun", "MINIMIZE_BACKEND_NAMES"]
 
 #: Backends the facade can execute.
-MINIMIZE_BACKEND_NAMES = ("serial", "batched", "gpu-sim", "multi-gpu-sim", "auto")
+MINIMIZE_BACKEND_NAMES = ("serial", "batched", "multi-gpu-sim", "auto")
 
 
 @dataclass
@@ -66,7 +64,6 @@ class MinimizationRun:
     results: List[MinimizationResult]
     backend: str
     batch_size: int
-    predicted_device_time_s: Optional[float] = None   # gpu-sim / multi-gpu-sim
     #: Multi-device provenance: device count the run was planned over,
     #: per-shard execution records, and the fixed merge order (empty /
     #: 1 for single-device backends).
@@ -104,16 +101,11 @@ class MinimizationEngine:
         configuration, matching the paper's fp32 GPU kernels) or
         ``"double"`` (bitwise-serial equivalence).  Other backends always
         run float64.
-    device:
-        Virtual device for ``gpu-sim`` (defaults to the paper's C1060).
-    topology:
-        :class:`~repro.exec.topology.DeviceTopology` for ``multi-gpu-sim``;
-        with ``auto``, a topology of two or more devices shards any
-        ensemble of two or more poses over it.
     devices:
-        Shorthand for ``topology``: a device count on the default
-        hardware.  A bare ``backend="multi-gpu-sim"`` with neither
-        defaults to :data:`~repro.minimize.multidevice.DEFAULT_MINIMIZE_DEVICES`.
+        Virtual device count for ``multi-gpu-sim`` (default
+        :data:`~repro.minimize.multidevice.DEFAULT_MINIMIZE_DEVICES`);
+        with ``auto``, two or more devices shard any ensemble of two or
+        more poses over them.
     shard_workers:
         Concurrent shard executions for ``multi-gpu-sim`` (``1`` forces
         the sequential shard loop; default one thread per shard, capped
@@ -129,8 +121,6 @@ class MinimizationEngine:
         backend: str = "auto",
         batch_size: int | None = None,
         precision: str = "single",
-        device=None,
-        topology: DeviceTopology | None = None,
         devices: int | None = None,
         shard_workers: int | None = None,
         nonbonded_cutoff: float = VDW_CUTOFF,
@@ -144,14 +134,10 @@ class MinimizationEngine:
             raise ValueError(f"unknown precision {precision!r}")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if topology is not None and devices is not None and topology.num_devices != devices:
-            raise ValueError(
-                f"topology has {topology.num_devices} devices but devices={devices}"
-            )
-        if topology is None and devices is not None:
-            topology = default_topology(devices)
-        if topology is None and backend == "multi-gpu-sim":
-            topology = default_topology(DEFAULT_MINIMIZE_DEVICES)
+        if devices is None:
+            devices = DEFAULT_MINIMIZE_DEVICES if backend == "multi-gpu-sim" else 1
+        if devices < 1:
+            raise ValueError(f"devices must be >= 1, got {devices}")
         # Host-side canonical copy is deliberately fp64; the engine casts to
         # its precision at kernel entry, so both families share one input.
         stack = np.asarray(coords_stack, dtype=float)  # repro: ignore[REPRO-DTYPE]
@@ -167,8 +153,7 @@ class MinimizationEngine:
         self.precision = precision
         self.nonbonded_cutoff = nonbonded_cutoff
         self.list_cutoff = list_cutoff
-        self._device = device
-        self.topology = topology
+        self.devices = devices
         self.shard_workers = shard_workers
         # The ensemble model doubles as the selector's pair-count probe
         # (pose 0's movable-filtered list is representative — same topology,
@@ -188,7 +173,7 @@ class MinimizationEngine:
             len(self._ensemble_model.pair_arrays(0)[0]) if self.n_poses else 0
         )
         choice = select_minimize_backend(
-            self.n_poses, n_pairs, batch_size=batch_size, topology=self.topology
+            self.n_poses, n_pairs, batch_size=batch_size, devices=devices
         )
         self.backend = choice.backend if backend == "auto" else backend
         if batch_size is not None:
@@ -216,7 +201,7 @@ class MinimizationEngine:
         cancel_check: Optional[Callable[[], None]] = None,
         on_shard: Optional[Callable[[int, int], None]] = None,
     ) -> MinimizationRun:
-        """Minimize and report backend provenance (and GPU time ledger).
+        """Minimize and report backend provenance.
 
         ``cancel_check`` / ``on_shard`` drive the ``multi-gpu-sim``
         backend's cooperative boundaries (a raising ``cancel_check`` stops
@@ -225,14 +210,9 @@ class MinimizationEngine:
         any work starts.
         """
         t_start = time.perf_counter()
-        predicted_device_s: Optional[float] = None
         # Provenance reports the devices the run was *planned over*, which
         # is only >1 when the sharded backend actually executes.
-        num_devices = (
-            self.topology.num_devices
-            if self.backend == "multi-gpu-sim" and self.topology is not None
-            else 1
-        )
+        num_devices = self.devices if self.backend == "multi-gpu-sim" else 1
         shards: Tuple[ShardExecution, ...] = ()
         reduction_order: Tuple[int, ...] = ()
         if cancel_check is not None and self.backend != "multi-gpu-sim":
@@ -243,13 +223,13 @@ class MinimizationEngine:
             results = self._run_serial()
         elif self.backend == "batched":
             results = self._run_batched()
-        elif self.backend == "multi-gpu-sim":
+        else:
             md = MultiDeviceMinimizer(
                 self.molecule,
                 self.coords_stack,
                 movable=self.movable,
                 config=self.config,
-                topology=self.topology,
+                devices=num_devices,
                 precision=self.precision,
                 batch_size=self.batch_size,
                 nonbonded_cutoff=self.nonbonded_cutoff,
@@ -257,11 +237,8 @@ class MinimizationEngine:
                 shard_workers=self.shard_workers,
             ).run(cancel_check=cancel_check, on_shard=on_shard)
             results = md.results
-            predicted_device_s = md.predicted_makespan_s
             shards = md.shards
             reduction_order = md.reduction_order
-        else:
-            results, predicted_device_s = self._run_gpu_sim()
         reg = registry()
         reg.counter(
             "repro_minimize_poses_total", ("backend",),
@@ -286,7 +263,6 @@ class MinimizationEngine:
             results=results,
             backend=self.backend,
             batch_size=self.batch_size,
-            predicted_device_time_s=predicted_device_s,
             num_devices=num_devices,
             shards=shards,
             reduction_order=reduction_order,
@@ -326,27 +302,3 @@ class MinimizationEngine:
             )
             results.extend(BatchedMinimizer(model, self.config).run())
         return results
-
-    def _run_gpu_sim(self):
-        """Serial-reference numerics + the scheme-C virtual-device ledger.
-
-        Each pose's per-iteration kernel launches are recorded on the
-        virtual device once, then scaled by the iterations that pose
-        actually ran — mirroring the docking facade's predicted-time ledger.
-        """
-        from repro.cuda.device import Device
-        from repro.gpu.minimize_kernels import GpuMinimizationEngine
-
-        device = self._device or Device()
-        results: List[MinimizationResult] = []
-        predicted = 0.0
-        for p in range(self.n_poses):
-            model = self._serial_model(p)
-            model.neighbor_list(self.coords_stack[p])   # pose-p pair structure
-            gpu = GpuMinimizationEngine(device, model)
-            res = Minimizer(model, config=self.config).run(
-                coords=self.coords_stack[p]
-            )
-            predicted += res.iterations * gpu.iteration_timing().total_s
-            results.append(res)
-        return results, predicted

@@ -5,11 +5,11 @@ multi-GPU implementation", Sec. VI) applied to the minimization phase:
 independent conformations distribute across devices with no inter-device
 communication, so a ``(P, N, 3)`` ensemble shards into contiguous
 per-device sub-ensembles (:class:`~repro.exec.plan.ShardPlan`), each shard
-runs the scheme-C batched path — numerically the
-:class:`~repro.minimize.batched.BatchedMinimizer`, with predicted device
-time from the shared kernel model
-(:func:`repro.gpu.minimize_common.scheme_c_iteration_s`) — and the
-per-shard results merge back in the plan's fixed reduction order.
+runs the :class:`~repro.minimize.batched.BatchedMinimizer`, and the
+per-shard results merge back in the plan's fixed reduction order.  A run
+records each shard's measured wall clock; the paper-scale prediction of a
+sharded phase is a model (:func:`repro.perf.speedup.multi_device_phase_s`),
+not part of the run.
 
 Determinism is the load-bearing property: each pose's trajectory depends
 only on its own coordinates (the batched evaluator reduces along the pair
@@ -42,8 +42,6 @@ import numpy as np
 
 from repro.constants import NEIGHBOR_LIST_CUTOFF, VDW_CUTOFF
 from repro.exec.plan import ShardPlan
-from repro.exec.topology import DeviceTopology, default_topology
-from repro.gpu.minimize_common import scheme_c_iteration_s
 from repro.minimize.batched import BatchedMinimizer
 from repro.minimize.ensemble import EnsembleEnergyModel
 from repro.minimize.minimizer import MinimizationResult, MinimizerConfig
@@ -51,44 +49,30 @@ from repro.structure.molecule import Molecule
 from repro.util.parallel import usable_cpus
 
 __all__ = [
-    "COORD_BYTES_PER_ATOM",
-    "TEMPLATE_BYTES_PER_ATOM",
     "DEFAULT_MINIMIZE_DEVICES",
     "ShardExecution",
     "MultiDeviceRun",
     "MultiDeviceMinimizer",
 ]
 
-#: fp32 xyz per atom: the per-shard conformation upload traffic.
-COORD_BYTES_PER_ATOM = 12.0
-
-#: Modeled template broadcast per atom (fp32 coords + the per-atom
-#: parameter tables the energy kernels read: charges, eps/rm, Born radii,
-#: volumes, type indices — ~28 B), shipped once to every device.
-TEMPLATE_BYTES_PER_ATOM = 40.0
-
 #: Device count a bare ``backend="multi-gpu-sim"`` request shards over
-#: when neither ``devices`` nor a topology is given: the smallest real
-#: fan-out.
+#: when ``devices`` is not given: the smallest real fan-out.
 DEFAULT_MINIMIZE_DEVICES = 2
 
 
 @dataclass(frozen=True)
 class ShardExecution:
-    """Provenance of one executed shard: where it ran and what it cost."""
+    """Provenance of one executed shard: where it ran and how long it took."""
 
     device_index: int
     start: int
     stop: int
     n_poses: int
-    pose_iterations: int          # sum of per-pose iterations actually run
-    predicted_device_s: float     # upload + kernel time on the virtual device
     #: Measured host wall clock of this shard (``time.perf_counter``
-    #: start and elapsed seconds on its worker thread) — the observed
-    #: counterpart of ``predicted_device_s``, consumed by the tracing
-    #: layer to reconstruct shard overlap post hoc.
-    wall_start_s: float = 0.0
-    wall_s: float = 0.0
+    #: start and elapsed seconds on its worker thread), consumed by the
+    #: tracing layer to reconstruct shard overlap post hoc.
+    wall_start_s: float
+    wall_s: float
 
 
 @dataclass
@@ -99,12 +83,10 @@ class MultiDeviceRun:
     num_devices: int
     shards: Tuple[ShardExecution, ...]
     reduction_order: Tuple[int, ...]
-    predicted_makespan_s: float   # busiest shard + serialized broadcast
-    predicted_broadcast_s: float
 
 
 class MultiDeviceMinimizer:
-    """Shards an ensemble over a :class:`DeviceTopology` and minimizes.
+    """Shards an ensemble over ``devices`` virtual devices and minimizes.
 
     Parameters
     ----------
@@ -116,9 +98,9 @@ class MultiDeviceMinimizer:
         Optional movable mask, ``(N,)`` shared or ``(P, N)`` per pose.
     config:
         :class:`MinimizerConfig` shared by every pose.
-    topology:
-        The virtual devices to shard over (default: the package-default
-        hardware at :data:`DEFAULT_MINIMIZE_DEVICES` devices).
+    devices:
+        Device count to shard over (default
+        :data:`DEFAULT_MINIMIZE_DEVICES`).
     precision:
         Sub-ensemble arithmetic, ``"single"`` (production, the paper's
         fp32 kernels) or ``"double"`` (bitwise-serial reference).
@@ -140,7 +122,7 @@ class MultiDeviceMinimizer:
         coords_stack: np.ndarray,
         movable: np.ndarray | None = None,
         config: MinimizerConfig | None = None,
-        topology: DeviceTopology | None = None,
+        devices: int = DEFAULT_MINIMIZE_DEVICES,
         precision: str = "single",
         batch_size: int | None = None,
         nonbonded_cutoff: float = VDW_CUTOFF,
@@ -149,6 +131,8 @@ class MultiDeviceMinimizer:
     ) -> None:
         if precision not in ("single", "double"):
             raise ValueError(f"unknown precision {precision!r}")
+        if devices < 1:
+            raise ValueError(f"devices must be >= 1, got {devices}")
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if shard_workers is not None and shard_workers < 1:
@@ -165,7 +149,7 @@ class MultiDeviceMinimizer:
         self.coords_stack = stack
         self.n_poses = len(stack)
         self.config = config or MinimizerConfig()
-        self.topology = topology or default_topology(DEFAULT_MINIMIZE_DEVICES)
+        self.devices = devices
         self.precision = precision
         self.batch_size = batch_size
         self.nonbonded_cutoff = nonbonded_cutoff
@@ -190,7 +174,7 @@ class MultiDeviceMinimizer:
 
     def plan(self) -> ShardPlan:
         """The shard plan this run executes (also its reduction order)."""
-        return self.topology.plan(self.n_poses)
+        return ShardPlan.contiguous(self.n_poses, self.devices)
 
     # -- execution ---------------------------------------------------------------
 
@@ -209,19 +193,6 @@ class MultiDeviceMinimizer:
         """
         plan = self.plan()
         shards = plan.shards
-        if not shards:
-            return MultiDeviceRun(
-                results=[],
-                num_devices=self.topology.num_devices,
-                shards=(),
-                reduction_order=(),
-                predicted_makespan_s=0.0,
-                predicted_broadcast_s=0.0,
-            )
-        broadcast_s = self.topology.broadcast_s(
-            int(self.molecule.n_atoms * TEMPLATE_BYTES_PER_ATOM)
-        )
-
         n_shards = len(shards)
 
         def exec_shard(k: int) -> Tuple[List[MinimizationResult], ShardExecution]:
@@ -236,7 +207,6 @@ class MultiDeviceMinimizer:
             # chunking numerically invisible.
             limit = self.batch_size or shard.size
             results: List[MinimizationResult] = []
-            n_pairs = 0
             for lo in range(shard.start, shard.stop, limit):
                 if lo != shard.start and cancel_check is not None:
                     cancel_check()
@@ -252,25 +222,11 @@ class MultiDeviceMinimizer:
                     precision=self.precision,
                 )
                 results.extend(BatchedMinimizer(sub, self.config).run())
-                if lo == shard.start:
-                    # Predicted device time uses the shard-local pair
-                    # count (same topology across poses, pose 0
-                    # representative).
-                    n_pairs = len(sub.pair_arrays(0)[0])
-            iter_s = scheme_c_iteration_s(
-                n_pairs, self.molecule.n_atoms, self.topology.device_spec
-            )
-            upload_s = self.topology.cost_model().transfer_time(
-                int(shard.size * self.molecule.n_atoms * COORD_BYTES_PER_ATOM)
-            )
-            pose_iterations = int(sum(r.iterations for r in results))
             execution = ShardExecution(
                 device_index=shard.device_index,
                 start=shard.start,
                 stop=shard.stop,
                 n_poses=shard.size,
-                pose_iterations=pose_iterations,
-                predicted_device_s=upload_s + pose_iterations * iter_s,
                 wall_start_s=wall_start,
                 wall_s=time.perf_counter() - wall_start,
             )
@@ -295,12 +251,9 @@ class MultiDeviceMinimizer:
         for shard_results, execution in outs:
             results.extend(shard_results)
             executions.append(execution)
-        makespan = max(e.predicted_device_s for e in executions) + broadcast_s
         return MultiDeviceRun(
             results=results,
-            num_devices=self.topology.num_devices,
+            num_devices=self.devices,
             shards=tuple(executions),
             reduction_order=plan.reduction_order,
-            predicted_makespan_s=makespan,
-            predicted_broadcast_s=broadcast_s,
         )

@@ -22,6 +22,8 @@ __all__ = [
     "batching_sweep",
     "scheme_ladder",
     "pipeline_makespan",
+    "COORD_BYTES_PER_ATOM",
+    "TEMPLATE_BYTES_PER_ATOM",
     "multi_device_phase_s",
     "multigpu_minimization_scaling",
 ]
@@ -251,6 +253,15 @@ def scheme_ladder(
     return rows, times
 
 
+#: fp32 xyz per atom: the per-shard conformation upload traffic.
+COORD_BYTES_PER_ATOM = 12.0
+
+#: Modeled template broadcast per atom (fp32 coords + the per-atom
+#: parameter tables the energy kernels read: charges, eps/rm, Born radii,
+#: volumes, type indices — ~28 B), shipped once to every device.
+TEMPLATE_BYTES_PER_ATOM = 40.0
+
+
 def multi_device_phase_s(
     n_poses: int,
     n_pairs: int,
@@ -261,15 +272,11 @@ def multi_device_phase_s(
     """Predicted sharded minimization phase time on ``topology``.
 
     Busiest-shard makespan of the scheme-C iteration kernels plus the
-    per-shard conformation upload and the serialized template broadcast:
-    the same kernel model and transfer constants the executing
-    :class:`~repro.minimize.multidevice.MultiDeviceMinimizer` ledger uses.
+    per-shard conformation upload and the serialized template broadcast,
+    over the same :class:`~repro.exec.plan.ShardPlan` the executing
+    :class:`~repro.minimize.multidevice.MultiDeviceMinimizer` runs.
     """
     from repro.gpu.minimize_common import scheme_c_iteration_s
-    from repro.minimize.multidevice import (
-        COORD_BYTES_PER_ATOM,
-        TEMPLATE_BYTES_PER_ATOM,
-    )
 
     if n_poses <= 0:
         return 0.0
@@ -294,7 +301,7 @@ def multigpu_minimization_scaling(
 
     For each device count, the sharded phase makespan from
     :func:`multi_device_phase_s`, built from the kernel model and transfer
-    constants the engine's ledger realizes.
+    constants.
     Defaults are the paper-scale workload (2000 conformations x ~1150
     iterations over ~10k pairs / 2200 atoms).
 
@@ -310,7 +317,8 @@ def multigpu_minimization_scaling(
         TYPICAL_COMPLEX_ATOMS,
         TYPICAL_PAIR_COUNT,
     )
-    from repro.exec.topology import DeviceTopology, default_device_spec
+    from repro.cuda.device import TESLA_C1060
+    from repro.cuda.multigpu import DeviceTopology
     from repro.gpu.pipeline import ITERATIONS_PER_CONFORMATION
 
     if not device_counts:
@@ -319,7 +327,7 @@ def multigpu_minimization_scaling(
     iterations = iterations or ITERATIONS_PER_CONFORMATION
     pairs = pairs or TYPICAL_PAIR_COUNT
     atoms = atoms or TYPICAL_COMPLEX_ATOMS
-    spec = device_spec or default_device_spec()
+    spec = device_spec or TESLA_C1060
 
     times: Dict[int, float] = {
         g: multi_device_phase_s(

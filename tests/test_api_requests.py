@@ -235,6 +235,15 @@ class TestWireSchema:
         with pytest.raises(InvalidRequestError, match="config"):
             MapRequest.from_dict(doc)
 
+    @pytest.mark.parametrize("field", ["engine", "minimize_engine"])
+    def test_gpu_sim_engine_is_invalid_request(self, field):
+        """``gpu-sim`` left both facades in 6.0.0; a document naming it
+        gets the unknown-backend error, with no migration."""
+        doc = MapRequest(receptor="a" * 64).to_dict()
+        doc["config"][field] = "gpu-sim"
+        with pytest.raises(InvalidRequestError, match="unknown .*engine 'gpu-sim'"):
+            MapRequest.from_dict(doc)
+
     def test_progress_event_round_trip(self):
         from repro.api.jobs import ProgressEvent
 

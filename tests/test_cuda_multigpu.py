@@ -3,16 +3,18 @@
 import pytest
 
 from repro.cuda.multigpu import (
-    MultiGpuConfig,
+    DeviceTopology,
     multi_gpu_mapping_times,
     scaling_curve,
 )
 
 
 class TestMultiGpuConfig:
+    """A multi-GPU node is a :class:`DeviceTopology`."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            MultiGpuConfig(num_gpus=0)
+            DeviceTopology(num_devices=0)
 
 
 class TestMultiGpuTimes:
@@ -21,7 +23,7 @@ class TestMultiGpuTimes:
         from repro.cuda.device import Device
         from repro.gpu.pipeline import GpuFTMapPipeline, ITERATIONS_PER_CONFORMATION
 
-        t = multi_gpu_mapping_times(MultiGpuConfig(1))
+        t = multi_gpu_mapping_times(DeviceTopology(1))
         pipe = GpuFTMapPipeline(Device())
         dock = pipe.docking_times().total_per_rotation_s * 500
         mini = (
@@ -34,18 +36,18 @@ class TestMultiGpuTimes:
         assert t.broadcast_s > 0
 
     def test_two_gpus_nearly_halve(self):
-        t1 = multi_gpu_mapping_times(MultiGpuConfig(1)).total_s
-        t2 = multi_gpu_mapping_times(MultiGpuConfig(2)).total_s
+        t1 = multi_gpu_mapping_times(DeviceTopology(1)).total_s
+        t2 = multi_gpu_mapping_times(DeviceTopology(2)).total_s
         assert 1.8 <= t1 / t2 <= 2.05
 
     def test_phase_split_scales(self):
-        t4 = multi_gpu_mapping_times(MultiGpuConfig(4))
-        t1 = multi_gpu_mapping_times(MultiGpuConfig(1))
+        t4 = multi_gpu_mapping_times(DeviceTopology(4))
+        t1 = multi_gpu_mapping_times(DeviceTopology(1))
         assert t4.minimization_s == pytest.approx(t1.minimization_s / 4, rel=0.01)
 
     def test_broadcast_grows_with_gpus(self):
-        b2 = multi_gpu_mapping_times(MultiGpuConfig(2)).broadcast_s
-        b8 = multi_gpu_mapping_times(MultiGpuConfig(8)).broadcast_s
+        b2 = multi_gpu_mapping_times(DeviceTopology(2)).broadcast_s
+        b8 = multi_gpu_mapping_times(DeviceTopology(8)).broadcast_s
         assert b8 == pytest.approx(4 * b2, rel=1e-6)
 
 

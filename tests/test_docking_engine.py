@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cuda.device import Device
 from repro.docking.batched import DEFAULT_FFT_BATCH, fft_batch_limit
 from repro.docking.engine import DockingEngine
 from repro.docking.piper import PiperConfig, PiperDocker
@@ -46,14 +45,15 @@ class TestBackendSelection:
             assert decision.backend == min(flops, key=flops.get)
 
     def test_gpu_included_only_on_request(self, small_protein, ethanol):
-        # auto never picks the virtual device; naming it runs it.
+        # auto picks a host backend; the virtual GPU is a paper model
+        # (repro.gpu.docking_pipeline), not a backend, so naming it fails.
         for m in (2, 4, 16):
             for rotations in (1, 500):
                 choice = select_backend(128, m, 22, num_rotations=rotations)
                 assert choice.backend in CPU_BACKENDS
         cfg = PiperConfig(num_rotations=2, receptor_grid=32, probe_grid=4)
-        engine = DockingEngine(small_protein, ethanol, cfg, backend="gpu-sim")
-        assert engine.backend == "gpu-sim"
+        with pytest.raises(ValueError, match="unknown backend 'gpu-sim'"):
+            DockingEngine(small_protein, ethanol, cfg, backend="gpu-sim")
 
     def test_batching_amortizes_prep(self):
         t1 = batched_fft_correlation_flops(64, 4, 8, batch=1)
@@ -62,7 +62,7 @@ class TestBackendSelection:
 
     def test_bad_batch_size_rejected(self, small_protein, ethanol):
         cfg = PiperConfig(num_rotations=8, receptor_grid=32, probe_grid=4)
-        for backend in ("direct", "auto", "gpu-sim"):
+        for backend in ("direct", "auto", "batched-fft"):
             with pytest.raises(ValueError):
                 DockingEngine(small_protein, ethanol, cfg, backend=backend, batch_size=0)
 
@@ -76,7 +76,7 @@ class TestDockingEngineFacade:
 
     def test_all_backends_agree_on_poses(self, small_protein, ethanol, cfg):
         reference = PiperDocker(small_protein, ethanol, cfg).run()
-        for backend in ("direct", "fft", "batched-fft", "auto", "gpu-sim"):
+        for backend in ("direct", "fft", "batched-fft", "auto"):
             engine = DockingEngine(small_protein, ethanol, cfg, backend=backend)
             poses = engine.run()
             assert len(poses) == len(reference), backend
@@ -99,25 +99,14 @@ class TestDockingEngineFacade:
         assert run.backend == "batched-fft"
         assert run.batch_size >= 1
         assert {p.rotation_index for p in run.poses} == {0, 2}
-        assert run.predicted_device_time_s is None
-
-    def test_gpu_sim_reports_device_time(self, small_protein, ethanol, cfg):
-        engine = DockingEngine(
-            small_protein, ethanol, cfg, backend="gpu-sim", device=Device()
-        )
-        run = engine.run_detailed()
-        assert run.backend == "gpu-sim"
-        assert run.predicted_device_time_s is not None
-        assert run.predicted_device_time_s > 0
 
     @pytest.mark.parametrize("explicit", [None, 2])
     def test_engine_batch_is_run_batch(self, small_protein, ethanol, explicit):
-        """The batch the facade reports is the batch every backend runs;
-        gpu-sim honours an explicit batch under its constant-memory cap."""
+        """The batch the facade reports is the batch every backend runs."""
         cfg = PiperConfig(
             num_rotations=6, receptor_grid=32, probe_grid=4, grid_spacing=1.25
         )
-        for backend in ("direct", "fft", "batched-fft", "auto", "gpu-sim"):
+        for backend in ("direct", "fft", "batched-fft", "auto"):
             engine = DockingEngine(
                 small_protein, ethanol, cfg, backend=backend, batch_size=explicit
             )
@@ -125,13 +114,6 @@ class TestDockingEngineFacade:
             assert engine.batch_size == run.batch_size, backend
             if explicit is not None:
                 assert run.batch_size == explicit, backend
-        gpu = DockingEngine(small_protein, ethanol, cfg, backend="gpu-sim")
-        assert gpu.batch_size == 32   # the C1060's constant-memory cap here
-
-    def test_gpu_sim_partial_run(self, small_protein, ethanol, cfg):
-        engine = DockingEngine(small_protein, ethanol, cfg, backend="gpu-sim")
-        poses = engine.run([1, 3])
-        assert {p.rotation_index for p in poses} == {1, 3}
 
     def test_explicit_batched_backend_really_batches(self, small_protein, ethanol):
         """Requesting batched-fft must use the engine's batch size even when

@@ -1,16 +1,13 @@
-"""Tests for the shared execution-topology layer (repro.exec)."""
+"""Tests for work sharding (repro.exec), the multi-GPU node model that
+predicts with the same plan (repro.cuda.multigpu), and device-count
+minimization selection."""
 
 import pytest
 
 from repro.cuda.device import TESLA_C1060
-from repro.cuda.multigpu import MultiGpuConfig
-from repro.exec import (
-    DEFAULT_TOPOLOGY,
-    DeviceTopology,
-    ShardPlan,
-    default_device_spec,
-    default_topology,
-)
+from repro.cuda.multigpu import DeviceTopology
+from repro.exec import ShardPlan
+from repro.minimize.multidevice import MultiDeviceMinimizer
 from repro.minimize.selection import DEFAULT_MINIMIZE_BATCH, select_minimize_backend
 from repro.perf.speedup import multi_device_phase_s
 
@@ -82,24 +79,24 @@ class TestDeviceTopology:
         assert DeviceTopology(num_devices=4).plan(10).shard_sizes == (3, 3, 2, 2)
 
     def test_defaults(self):
-        assert default_topology(1) is DEFAULT_TOPOLOGY
-        assert default_topology(4).num_devices == 4
-        assert default_device_spec() is TESLA_C1060
+        topo = DeviceTopology()
+        assert topo.num_devices == 1
+        assert topo.device_spec is TESLA_C1060
 
 
 class TestSharedConstantsNoDrift:
-    """Multi-device docking describes its devices with repro.exec."""
+    """The multi-GPU model and the sharded minimizer plan alike."""
 
-    def test_multigpu_config_exposes_topology(self):
-        topo = MultiGpuConfig(num_gpus=4).topology()
-        assert isinstance(topo, DeviceTopology)
-        assert topo.num_devices == 4
-        assert topo.device_spec is TESLA_C1060
+    def test_multigpu_config_exposes_topology(self, small_protein):
+        stack = small_protein.coords[None].repeat(10, axis=0)
+        executed = MultiDeviceMinimizer(small_protein, stack, devices=4).plan()
+        assert DeviceTopology(num_devices=4).plan(10) == executed
+        assert executed == ShardPlan.contiguous(10, 4)
 
 
 class TestTopologyAwareMinimizeSelection:
     def test_multi_gpu_prediction_appears_with_topology(self):
-        # The sharded-phase model is paper-table output: it needs a topology.
+        # The sharded-phase model is paper-table output: it needs a node.
         topo = DeviceTopology(num_devices=4)
         assert multi_device_phase_s(2000, FTMAP_PAIRS, FTMAP_ATOMS, 60, topo) > 0
         assert multi_device_phase_s(0, FTMAP_PAIRS, FTMAP_ATOMS, 60, topo) == 0.0
@@ -120,19 +117,19 @@ class TestTopologyAwareMinimizeSelection:
 
     def test_auto_ignores_single_device_topology(self):
         d = select_minimize_backend(
-            2000, FTMAP_PAIRS, topology=DeviceTopology(num_devices=1)
+            2000, FTMAP_PAIRS, devices=1
         )
         assert d.backend == "batched"
 
     def test_auto_picks_sharded_devices_when_topology_given(self):
         d = select_minimize_backend(
-            2000, FTMAP_PAIRS, topology=DeviceTopology(num_devices=4)
+            2000, FTMAP_PAIRS, devices=4
         )
         assert d.backend == "multi-gpu-sim"
         assert d.batch_size == DEFAULT_MINIMIZE_BATCH
 
     def test_single_pose_never_shards(self):
         d = select_minimize_backend(
-            1, FTMAP_PAIRS, topology=DeviceTopology(num_devices=4)
+            1, FTMAP_PAIRS, devices=4
         )
         assert d.backend not in ("batched", "multi-gpu-sim")

@@ -260,6 +260,13 @@ class TestRejections:
         with pytest.raises(SchemaVersionError):
             acme.submit(body)
 
+    @pytest.mark.parametrize("field", ["engine", "minimize_engine"])
+    def test_gpu_sim_engine_rejected(self, acme, receptor_hash, field):
+        body = MapRequest(receptor=receptor_hash, config=TINY).to_dict()
+        body["config"][field] = "gpu-sim"
+        with pytest.raises(InvalidRequestError, match="gpu-sim"):
+            acme.submit(body)
+
     def test_malformed_json_is_400(self, gateway):
         request = urllib.request.Request(
             gateway.url + "/v1/jobs",

@@ -50,6 +50,25 @@ class TestGpuPiperDocker:
         d = np.linalg.norm(small_protein.coords - coords.mean(axis=0), axis=1)
         assert d.min() < 5.0  # docked onto the surface
 
+    def test_partial_run(self, small_protein, ethanol, cfg):
+        """A rotation subset docks to the host docker's poses for it."""
+        run = GpuPiperDocker(small_protein, ethanol, cfg).run([1, 3])
+        serial = PiperDocker(small_protein, ethanol, cfg).run([1, 3])
+        assert {p.rotation_index for p in run.poses} == {1, 3}
+        assert [(p.rotation_index, p.translation) for p in run.poses] == [
+            (p.rotation_index, p.translation) for p in serial
+        ]
+
+    def test_batch_capped_by_constant_memory(self, small_protein, ethanol, cfg):
+        """An explicit batch runs as given below the constant-memory cap;
+        the default is the cap (32 rotations on the C1060 here)."""
+        from dataclasses import replace
+
+        assert GpuPiperDocker(small_protein, ethanol, cfg).batch_size == 32
+        explicit = GpuPiperDocker(small_protein, ethanol, replace(cfg, batch_size=2))
+        assert explicit.batch_size == 2
+        assert explicit.run().batch_size == 2
+
     def test_probe_too_big_rejected(self, small_protein, benzene):
         big_cfg = PiperConfig(
             num_rotations=2, receptor_grid=32, probe_grid=16, grid_spacing=1.25,

@@ -1,12 +1,16 @@
-"""The runtime layers import nothing from the paper-model package.
+"""The runtime layers import nothing from the paper-model packages.
 
-``repro.perf`` holds the paper's serial-host models (Harpertown constants,
-Tables 1-2, Figs. 2-3).  Docking, minimization and the execution topology
-run on this host and choose backends by rule, so none of their modules may
-import it, not even lazily inside a function.
+``repro.cuda`` (the virtual C1060), ``repro.gpu`` (the paper's kernels on
+it) and ``repro.perf`` (the serial-host models, Tables 1-2, Figs. 2-3)
+predict the paper's numbers.  Every other subpackage computes on this
+host and chooses backends by rule, so none of their modules may import a
+paper model, not even lazily inside a function, and ``import repro.api``
+loads none of them.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,8 +18,22 @@ import pytest
 import repro
 
 PACKAGE_ROOT = Path(repro.__file__).parent
-RUNTIME_PACKAGES = ("docking", "minimize", "exec")
-FORBIDDEN = "repro.perf"
+PAPER_PACKAGES = ("repro.cuda", "repro.gpu", "repro.perf")
+RUNTIME_PACKAGES = (
+    "api",
+    "cache",
+    "docking",
+    "exec",
+    "gateway",
+    "geometry",
+    "grids",
+    "mapping",
+    "minimize",
+    "obs",
+    "structure",
+    "util",
+    "workers",
+)
 
 
 def _imported_names(source: str, package: str):
@@ -36,16 +54,29 @@ def _imported_names(source: str, package: str):
                 yield f"{module}.{alias.name}", node.lineno
 
 
+def _is_paper_model(name: str) -> bool:
+    return any(name == p or name.startswith(p + ".") for p in PAPER_PACKAGES)
+
+
 def _violations(source: str, package: str):
     return [
         (name, line)
         for name, line in _imported_names(source, package)
-        if name == FORBIDDEN or name.startswith(FORBIDDEN + ".")
+        if _is_paper_model(name)
     ]
+
+
+def test_every_runtime_package_is_checked():
+    """A new subpackage must be classified as runtime or paper model."""
+    found = {p.name for p in PACKAGE_ROOT.iterdir() if (p / "__init__.py").exists()}
+    paper = {name.split(".")[1] for name in PAPER_PACKAGES}
+    assert found - paper - {"analysis"} == set(RUNTIME_PACKAGES)
 
 
 @pytest.mark.parametrize("subpackage", RUNTIME_PACKAGES)
 def test_runtime_package_does_not_import_perf(subpackage):
+    """No module of ``subpackage`` imports ``repro.perf``, ``repro.cuda``
+    or ``repro.gpu``."""
     modules = sorted((PACKAGE_ROOT / subpackage).rglob("*.py"))
     assert modules, subpackage
     found = []
@@ -58,6 +89,25 @@ def test_runtime_package_does_not_import_perf(subpackage):
     assert not found, "\n".join(found)
 
 
+def test_import_api_loads_no_paper_model():
+    """Checked in a fresh interpreter: this test process has long since
+    imported the paper packages for other tests."""
+    code = (
+        "import sys, repro.api\n"
+        f"paper = {PAPER_PACKAGES!r}\n"
+        "print('\\n'.join(sorted(m for m in sys.modules\n"
+        "    if any(m == p or m.startswith(p + '.') for p in paper))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=PACKAGE_ROOT.parent,
+    )
+    assert out.stdout.split() == []
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -65,6 +115,9 @@ def test_runtime_package_does_not_import_perf(subpackage):
         "from repro.perf.cpumodel import CpuModel\n",
         "from repro import perf\n",
         "def f():\n    from ..perf import speedup\n",
+        "from repro.cuda.device import Device\n",
+        "def f():\n    from repro.gpu.docking_pipeline import GpuPiperDocker\n",
+        "from .. import cuda\n",
     ],
 )
 def test_scanner_sees_every_import_form(source):

@@ -167,25 +167,11 @@ class TestZeroPoseProbe:
 
 class TestEngineRouting:
     def test_piper_config_passes_cpu_engines(self):
-        """Every engine, gpu-sim included, docks the same workload: the
-        engine goes to ``DockingEngine(backend=...)``, not into the config."""
+        """Every engine docks the same workload: the engine goes to
+        ``DockingEngine(backend=...)``, not into the config."""
         workload = FTMapConfig().piper_config()
-        for engine in ("direct", "fft", "batched-fft", "auto", "gpu-sim"):
+        for engine in ("direct", "fft", "batched-fft", "auto"):
             assert FTMapConfig(engine=engine).piper_config() == workload
-
-    def test_map_routes_gpu_sim_through_facade(self, protein):
-        cfg = FTMapConfig(
-            probe_names=("ethanol",),
-            num_rotations=2,
-            receptor_grid=24,
-            minimize_top=2,
-            minimizer_iterations=5,
-            engine="gpu-sim",
-        )
-        result = map_result(protein, cfg)
-        pr = result.probe_results["ethanol"]
-        assert pr.docking_backend == "gpu-sim"
-        assert pr.docked_poses
 
 
 class TestProcessStreaming:
@@ -247,6 +233,19 @@ class TestConfigValidation:
             FTMapConfig(engine="warp-drive")
         with pytest.raises(ValueError, match="minimize engine"):
             FTMapConfig(minimize_engine="warp-drive")
+
+    def test_gpu_sim_is_an_unknown_engine(self):
+        """The virtual GPU is a paper model, not a backend: a config or a
+        document naming it gets the unknown-backend error, unmigrated."""
+        with pytest.raises(ValueError, match="unknown docking engine 'gpu-sim'"):
+            FTMapConfig(engine="gpu-sim")
+        with pytest.raises(ValueError, match="unknown minimize engine 'gpu-sim'"):
+            FTMapConfig(minimize_engine="gpu-sim")
+        for field in ("engine", "minimize_engine"):
+            doc = FTMapConfig().to_dict()
+            doc[field] = "gpu-sim"
+            with pytest.raises(ValueError, match="gpu-sim"):
+                FTMapConfig.from_dict(doc)
 
     def test_unknown_cache_policy_rejected(self):
         with pytest.raises(ValueError, match="cache policy"):
@@ -385,8 +384,6 @@ class TestDockResultKeyGoldens:
             "6b68b5fb7c650731d899fe62f821c73729f29fc346bd3c1fe2cb51d5c2551486",
         (("engine", "auto"),):
             "a8cede18d268665ff2eff64e5cd3c1d3ff819b78e509ad11a9abb1d8e6c02881",
-        (("engine", "gpu-sim"),):
-            "ece03427d10b8dd74c20f94e4a069dc199653ec8734db4eb8ea2bd4ca85009c3",
         (("engine", "batched-fft"), ("batch_size", 2)):
             "f44ea6092d1360adda991d92497bd56fc8eb0cb038dc20aef6985ff15acee53b",
     }
@@ -455,3 +452,41 @@ class TestLegacyDockRunEntries:
         assert [(p.rotation_index, p.translation) for p in hit.poses] == [
             (p.rotation_index, p.translation) for p in run.poses
         ]
+
+    def test_entry_with_deleted_ledger_field_is_a_hit(self, tmp_path):
+        """5.0.0 pickled ``DockingRun.predicted_device_time_s`` (``None`` off
+        the deleted ``gpu-sim`` backend).  Unpickling restores attributes,
+        not fields, so such an entry is still served, and the run handed
+        back has only today's fields."""
+        from dataclasses import fields
+
+        from repro.cache import CacheManager
+        from repro.cache.store import DiskStore
+        from repro.docking.engine import DockingRun
+        from repro.mapping.ftmap import _dock_result_key
+
+        receptor = synthetic_protein(n_residues=30, seed=11)
+        probe = build_probe("ethanol")
+        cfg = FTMapConfig(
+            probe_names=("ethanol",), num_rotations=2, receptor_grid=32,
+            grid_spacing=1.25,
+        )
+        fresh = dock_probe(receptor, probe, cfg, cache=CacheManager(policy="off"))
+        legacy = DockingRun(
+            poses=list(fresh.poses), backend=fresh.backend,
+            batch_size=fresh.batch_size,
+        )
+        legacy.predicted_device_time_s = None     # the 5.0.0 field
+        DiskStore(tmp_path).put(_dock_result_key(receptor, probe, cfg), legacy)
+        (entry,) = tmp_path.rglob("*.bin")
+        assert b"predicted_device_time_s" in entry.read_bytes()
+
+        manager = CacheManager(policy="disk", directory=str(tmp_path))
+        run = dock_probe(receptor, probe, cfg, cache=manager)
+        assert manager.stats.disk_hits == 1
+        assert manager.stats.corrupt_entries == 0
+        assert [(p.score, p.rotation_index, p.translation) for p in run.poses] == [
+            (p.score, p.rotation_index, p.translation) for p in fresh.poses
+        ]
+        assert (run.backend, run.batch_size) == (fresh.backend, fresh.batch_size)
+        assert set(vars(run)) == {f.name for f in fields(DockingRun)}

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cuda.device import Device
 from repro.minimize import (
     MINIMIZE_BACKEND_NAMES,
     MinimizationEngine,
@@ -123,23 +122,6 @@ class TestBackends:
         for a, b in zip(full, chunked):
             assert a.energy == b.energy
             np.testing.assert_array_equal(a.coords, b.coords)
-
-    def test_gpu_sim_attaches_device_ledger(
-        self, complex_mol, ensemble, config, serial_run
-    ):
-        stack, masks = ensemble
-        run = MinimizationEngine(
-            complex_mol,
-            stack,
-            movable=masks,
-            config=config,
-            backend="gpu-sim",
-            device=Device(),
-        ).run_detailed()
-        assert run.backend == "gpu-sim"
-        assert run.predicted_device_time_s > 0
-        for ref, got in zip(serial_run.results, run.results):
-            assert got.energy == ref.energy   # numerics are the serial reference
 
 
 class TestAutoSelection:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.api import FTMapService, JobCancelled, MapRequest
 from repro.cache import CacheManager
-from repro.exec import DeviceTopology
 from repro.mapping.ftmap import FTMapConfig
 from repro.minimize import (
     BatchedMinimizer,
@@ -111,7 +110,7 @@ class TestBitwiseEquivalence:
         def run(batch_size):
             return MultiDeviceMinimizer(
                 complex_mol, stack, movable=masks, config=config,
-                topology=DeviceTopology(num_devices=2), batch_size=batch_size,
+                devices=2, batch_size=batch_size,
             ).run()
 
         whole, chunked = run(None), run(2)
@@ -125,7 +124,7 @@ class TestBitwiseEquivalence:
         def run(workers):
             return MultiDeviceMinimizer(
                 complex_mol, stack, movable=masks, config=config,
-                topology=DeviceTopology(num_devices=3), shard_workers=workers,
+                devices=3, shard_workers=workers,
             ).run()
 
         seq, par = run(1), run(3)
@@ -201,10 +200,11 @@ class TestShardEdges:
             complex_mol,
             np.empty((0, complex_mol.n_atoms, 3)),
             config=config,
-            topology=DeviceTopology(num_devices=4),
+            devices=4,
         ).run()
         assert md.results == []
-        assert md.predicted_makespan_s == 0.0
+        assert md.shards == ()
+        assert md.num_devices == 4
 
     def test_provenance_covers_every_pose(self, complex_mol, ensemble, config):
         stack, masks = ensemble
@@ -218,10 +218,7 @@ class TestShardEdges:
         )
         spans = [(s.start, s.stop) for s in run.shards]
         assert spans == sorted(spans)
-        assert all(s.predicted_device_s > 0 for s in run.shards)
-        assert run.predicted_device_time_s >= max(
-            s.predicted_device_s for s in run.shards
-        )
+        assert all(s.wall_s > 0 for s in run.shards)
 
     def test_default_width_without_devices(self, complex_mol, ensemble, config):
         stack, masks = ensemble
@@ -231,13 +228,12 @@ class TestShardEdges:
         ).run_detailed()
         assert run.num_devices == 2               # DEFAULT_MINIMIZE_DEVICES
 
-    def test_topology_devices_mismatch_rejected(self, complex_mol, ensemble):
+    def test_bad_device_count_rejected(self, complex_mol, ensemble):
         stack, _ = ensemble
         with pytest.raises(ValueError, match="devices"):
-            MinimizationEngine(
-                complex_mol, stack, backend="multi-gpu-sim",
-                topology=DeviceTopology(num_devices=2), devices=4,
-            )
+            MinimizationEngine(complex_mol, stack, backend="multi-gpu-sim", devices=0)
+        with pytest.raises(ValueError, match="devices"):
+            MultiDeviceMinimizer(complex_mol, stack, devices=0)
 
 
 class TestCancellation:

@@ -3,6 +3,7 @@
 from repro.minimize.selection import (
     DEFAULT_MINIMIZE_BATCH,
     ENSEMBLE_PAIR_BUDGET,
+    MINIMIZE_CPU_BACKENDS,
     ensemble_batch_limit,
     select_minimize_backend,
 )
@@ -34,10 +35,11 @@ class TestSelection:
         assert 2 <= d.batch_size <= 12
 
     def test_gpu_included_only_on_request(self):
-        # gpu-sim runs only when named: auto never picks it.
+        # Without named devices auto stays on one device: it never shards.
         for poses in (1, 2, 12, 2000):
             for pairs in (100, FTMAP_PAIRS, 2_000_000):
-                assert select_minimize_backend(poses, pairs).backend != "gpu-sim"
+                backend = select_minimize_backend(poses, pairs).backend
+                assert backend in MINIMIZE_CPU_BACKENDS
 
     def test_explicit_batch_size_respected(self):
         d = select_minimize_backend(12, FTMAP_PAIRS, batch_size=3)

@@ -3,11 +3,11 @@
 The goldens were recorded from the 4.0.0 selectors, which priced every
 backend with the paper's serial-host and C1060 cost models.  The rules
 that replaced them must reproduce those choices: every docking cell, and
-every minimization cell without a topology except the listed ones, all
-at 400k or more pairs per pose.  With a topology of two or more devices
-the old pricing flipped with ensemble size; the rule shards every
-ensemble of two or more poses, and those cells are checked against the
-rule directly.
+every minimization cell without devices except the listed ones, all
+at 400k or more pairs per pose.  With two or more devices the old
+pricing flipped with ensemble size; the rule shards every ensemble of
+two or more poses, and those cells are checked against the rule
+directly.
 """
 
 import itertools
@@ -15,7 +15,6 @@ import itertools
 import pytest
 
 from repro.docking.selection import select_backend
-from repro.exec import DeviceTopology
 from repro.minimize.selection import ensemble_batch_limit, select_minimize_backend
 
 DOCK_CODES = {"d": "direct", "f": "fft", "b": "batched-fft"}
@@ -103,9 +102,8 @@ def test_minimize_auto_matches_golden_outside_listed_cells():
 
 @pytest.mark.parametrize("devices", [1, 2, 4])
 def test_minimize_topology_cells_follow_rule(devices):
-    topology = DeviceTopology(num_devices=devices)
     for poses, pairs in itertools.product((1, 2, 4, 12, 64, 2000), MIN_PAIRS):
-        got = select_minimize_backend(poses, pairs, topology=topology).backend
+        got = select_minimize_backend(poses, pairs, devices=devices).backend
         if poses >= 2 and devices >= 2:
             expected = "multi-gpu-sim"
         elif poses >= 2 and ensemble_batch_limit(pairs) >= 2:
