@@ -77,10 +77,14 @@ class DirectCorrelationEngine(CorrelationEngine):
     def _correlate_one(
         self, rec: np.ndarray, lig: np.ndarray, tshape
     ) -> np.ndarray:
-        """corr(a) = sum_d L(d) * R(a + d) for a in [0, t1) x [0, t2) x [0, t3)."""
-        rec = rec.astype(np.float64)
+        """corr(a) = sum_d L(d) * R(a + d) for a in [0, t1) x [0, t2) x [0, t3).
+
+        Each term is formed in fp64 in one reused buffer and added in place:
+        no fp64 copy of the receptor channel, no temporary per voxel.
+        """
         t1, t2, t3 = tshape
         out = np.zeros((t1, t2, t3), dtype=np.float64)
+        term = np.empty_like(out)
         if self.skip_zero_voxels:
             nz = np.argwhere(lig != 0)
             vals = lig[lig != 0].astype(np.float64)
@@ -90,7 +94,9 @@ class DirectCorrelationEngine(CorrelationEngine):
         for (dx, dy, dz), v in zip(nz, vals):
             if v == 0.0 and self.skip_zero_voxels:
                 continue
-            out += v * rec[dx : dx + t1, dy : dy + t2, dz : dz + t3]
+            window = rec[dx : dx + t1, dy : dy + t2, dz : dz + t3]
+            np.multiply(window, v, out=term, dtype=np.float64)
+            out += term
         return out
 
 

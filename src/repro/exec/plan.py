@@ -11,7 +11,9 @@ runs bitwise-comparable to single-device ones).
 
 :class:`ShardPlan` answers all three once, so the multi-GPU model
 (:mod:`repro.cuda.multigpu`) and the executing minimizer
-(:mod:`repro.minimize.multidevice`) cannot drift apart.
+(:mod:`repro.minimize.multidevice`) cannot drift apart.  What a plan
+costs in time is a paper-model question, answered by
+:func:`repro.perf.speedup.shard_makespan_s`.
 """
 
 from __future__ import annotations
@@ -93,13 +95,3 @@ class ShardPlan:
     def reduction_order(self) -> Tuple[int, ...]:
         """Device indices in merge order (ascending item range, fixed)."""
         return tuple(s.device_index for s in self.shards)
-
-    def makespan_s(self, per_item_s: float, per_shard_s: float = 0.0) -> float:
-        """Wall-clock of the busiest device at a uniform per-item cost.
-
-        ``per_shard_s`` is a fixed per-device overhead (e.g. the shard's
-        input upload) added to every shard before taking the max.
-        """
-        if not self.shards:
-            return 0.0
-        return max(s.size * per_item_s + per_shard_s for s in self.shards)

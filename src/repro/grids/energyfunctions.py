@@ -27,6 +27,7 @@ in for PIPER's grid preparation step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -179,10 +180,7 @@ def desolvation_eigenterms(
     universe = universe + extra  # tolerate user-registered types
     t_index = {t: i for i, t in enumerate(universe)}
     m = len(universe)
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(m, m))
-    pot = 0.5 * (raw + raw.T)  # symmetric contact potential
-    eigvals, eigvecs = np.linalg.eigh(pot)
+    eigvals, eigvecs = _contact_eigenpairs(tuple(universe), seed)
     # Keep the K largest-magnitude terms (PIPER keeps the leading terms).
     order = np.argsort(-np.abs(eigvals))[: min(n_terms, m)]
     weights = np.zeros((n_terms, len(type_names)))
@@ -194,6 +192,23 @@ def desolvation_eigenterms(
         signs[slot] = np.sign(eigvals[k]) if eigvals[k] != 0 else 1.0
     # Unused slots (if fewer types than requested terms) stay zero, sign +1.
     return weights, signs
+
+
+@functools.lru_cache(maxsize=8)
+def _contact_eigenpairs(universe: tuple, seed: int):
+    """Eigenpairs of the seeded contact potential over a type universe.
+
+    Every rotation's ligand gridding asks for the same decomposition, so it
+    is computed once per (universe, seed) and returned as read-only arrays.
+    """
+    m = len(universe)
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(m, m))
+    pot = 0.5 * (raw + raw.T)  # symmetric contact potential
+    eigvals, eigvecs = np.linalg.eigh(pot)
+    eigvals.flags.writeable = False
+    eigvecs.flags.writeable = False
+    return eigvals, eigvecs
 
 
 def _halo_mask(occupied: np.ndarray, thickness: int) -> np.ndarray:

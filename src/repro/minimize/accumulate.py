@@ -1,4 +1,9 @@
-"""Scatter-accumulation helpers for the per-pair energy kernels.
+"""Shared helpers for the per-pair energy kernels: geometry and scatters.
+
+:class:`PairGeometry` is one pair list evaluated at one configuration —
+the separation vectors and distances every non-bonded term reads.  An
+energy evaluation builds it once and hands it to the ACE self, GB and vdW
+kernels, instead of each kernel gathering both atoms of every pair again.
 
 Every non-bonded and bonded term ends with the same operation: per-pair
 3-vector gradient contributions scattered into per-atom rows ("the forces
@@ -17,9 +22,17 @@ restructuring in the paper's GPU schemes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-__all__ = ["as_float_array", "scatter_add_rows", "scatter_sub_rows"]
+__all__ = [
+    "PairGeometry",
+    "as_float_array",
+    "pair_geometry",
+    "scatter_add_rows",
+    "scatter_sub_rows",
+]
 
 
 def as_float_array(x: np.ndarray) -> np.ndarray:
@@ -47,3 +60,37 @@ def scatter_sub_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None
     n = len(out)
     for c in range(out.shape[1]):
         out[:, c] -= np.bincount(idx, weights=rows[:, c], minlength=n)
+
+
+@dataclass(frozen=True)
+class PairGeometry:
+    """A half pair list evaluated at one configuration.
+
+    ``d = x[i] - x[j]``, ``r2 = |d|^2``, ``r = sqrt(r2)`` and ``r_safe``
+    (``r`` with exact overlaps replaced by 1, the ACE and GB divisor), all
+    in the coordinates' dtype.
+    """
+
+    pair_i: np.ndarray     # (P,)
+    pair_j: np.ndarray     # (P,)
+    n_atoms: int
+    d: np.ndarray          # (P, 3)
+    r2: np.ndarray         # (P,)
+    r: np.ndarray          # (P,)
+    r_safe: np.ndarray     # (P,)
+
+
+def pair_geometry(
+    coords: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray
+) -> PairGeometry:
+    """Separation vectors and distances of every listed pair, computed once."""
+    coords = as_float_array(coords)
+    # ``take`` gathers the same rows as ``coords[pair_i]``, ~4x faster.
+    d = coords.take(pair_i, axis=0) - coords.take(pair_j, axis=0)
+    dd = d * d
+    # The left-to-right sum ``(d*d).sum(axis=1)`` performs over a length-3
+    # axis, without its ~10x slower small-axis reduction loop.
+    r2 = dd[:, 0] + dd[:, 1] + dd[:, 2]
+    r = np.sqrt(r2)
+    r_safe = np.where(r > 0, r, 1.0)
+    return PairGeometry(pair_i, pair_j, len(coords), d, r2, r, r_safe)

@@ -30,6 +30,15 @@ tables (documented substitution; DESIGN.md).
 Gradients: all terms are differentiated analytically with Born radii held
 fixed during a force evaluation (radii are refreshed once per iteration,
 like the neighbor lists) — the standard frozen-alpha approximation.
+
+One pair pass: the math lives in :func:`ace_self_from_pairs` and
+:func:`gb_from_pairs`, which read a :class:`~repro.minimize.accumulate.PairGeometry`
+computed once per evaluation (shared with the vdW term) and per-pair
+parameters (:class:`AceSelfPairParams`, :class:`GbPairParams`) whose
+lifetime follows the pair list: the energy models build them when a list
+is built and rebuild them with it.  :func:`ace_self_energies` and
+:func:`gb_pairwise_energy` are the standalone forms, building both for a
+single call.
 """
 
 from __future__ import annotations
@@ -40,12 +49,24 @@ from typing import Tuple
 import numpy as np
 
 from repro.constants import BORN_166, COULOMB_332, SOLVENT_DIELECTRIC, TAU
-from repro.minimize.accumulate import as_float_array, scatter_add_rows, scatter_sub_rows
+from repro.minimize.accumulate import (
+    PairGeometry,
+    as_float_array,
+    pair_geometry,
+    scatter_add_rows,
+    scatter_sub_rows,
+)
 
 __all__ = [
+    "AceSelfPairParams",
     "AceSelfResult",
+    "GbPairParams",
     "ace_self_energies",
+    "ace_self_from_pairs",
+    "ace_self_pair_params",
     "born_radii_from_self_energies",
+    "gb_from_pairs",
+    "gb_pair_params",
     "gb_pairwise_energy",
 ]
 
@@ -89,6 +110,53 @@ def _pair_params(
     return omega, sigma, mu
 
 
+@dataclass(frozen=True)
+class AceSelfPairParams:
+    """Per-pair Eq. (6) parameters of one pair list.
+
+    They depend only on the per-atom parameters of the listed pairs, so a
+    model builds them once per pair-list build and reuses them until the
+    list is rebuilt.
+    """
+
+    omega_qi2: np.ndarray   # omega_ij q_i^2: Gaussian height, direction i<-j
+    omega_qj2: np.ndarray   # omega_ji q_j^2: Gaussian height, direction j<-i
+    sig2: np.ndarray        # sigma_ik^2
+    mu4: np.ndarray         # mu_ik^4
+    tail_i: np.ndarray      # tau q_i^2 Vtilde_j / (8 pi)
+    tail_j: np.ndarray      # tau q_j^2 Vtilde_i / (8 pi)
+
+
+def ace_self_pair_params(
+    charges: np.ndarray,
+    born_params: np.ndarray,
+    volumes: np.ndarray,
+    pair_i: np.ndarray,
+    pair_j: np.ndarray,
+) -> AceSelfPairParams:
+    """Eq. (6)'s per-pair parameters for a half pairs-list.
+
+    Direction i<-j uses ``Vtilde_j``; direction j<-i uses ``Vtilde_i``.  The
+    pair geometry (r, sigma, mu) is symmetric under our parameter choice.
+    """
+    qi2 = charges[pair_i] ** 2
+    qj2 = charges[pair_j] ** 2
+    omega_ij, sigma, mu = _pair_params(
+        born_params[pair_i], born_params[pair_j], volumes[pair_j]
+    )
+    omega_ji, _, _ = _pair_params(
+        born_params[pair_j], born_params[pair_i], volumes[pair_i]
+    )
+    return AceSelfPairParams(
+        omega_qi2=omega_ij * qi2,
+        omega_qj2=omega_ji * qj2,
+        sig2=sigma**2,
+        mu4=mu**4,
+        tail_i=TAU * qi2 * volumes[pair_j] / (8.0 * np.pi),
+        tail_j=TAU * qj2 * volumes[pair_i] / (8.0 * np.pi),
+    )
+
+
 def ace_self_energies(
     coords: np.ndarray,
     charges: np.ndarray,
@@ -120,46 +188,48 @@ def ace_self_energies(
     :class:`AceSelfResult` with per-atom self energies (including the
     constant Born term ``q^2 / (2 eps_s R)``) and the analytic gradient of
     the *total* self energy.
+
+    Standalone form of :func:`ace_self_from_pairs`: builds the pair geometry
+    and parameters for this one call.
     """
-    coords = as_float_array(coords)
-    n = len(coords)
+    return ace_self_from_pairs(
+        pair_geometry(coords, pair_i, pair_j),
+        ace_self_pair_params(charges, born_params, volumes, pair_i, pair_j),
+        charges,
+        born_params,
+        per_pair=per_pair,
+        with_gradient=with_gradient,
+    )
+
+
+def ace_self_from_pairs(
+    geom: PairGeometry,
+    params: AceSelfPairParams,
+    charges: np.ndarray,
+    born_params: np.ndarray,
+    per_pair: bool = False,
+    with_gradient: bool = True,
+) -> AceSelfResult:
+    """Eq. (5)/(6) from a shared pair geometry and per-list parameters."""
+    pair_i, pair_j = geom.pair_i, geom.pair_j
     energies = (charges**2) / (2.0 * SOLVENT_DIELECTRIC * born_params)
-    gradient = np.zeros((n, 3), dtype=coords.dtype)
+    gradient = np.zeros((geom.n_atoms, 3), dtype=geom.d.dtype)
     if len(pair_i) == 0:
-        empty = np.zeros(0, dtype=coords.dtype) if per_pair else None
+        empty = np.zeros(0, dtype=geom.d.dtype) if per_pair else None
         return AceSelfResult(energies, gradient, empty, empty)
 
-    d = coords[pair_i] - coords[pair_j]
-    r2 = (d * d).sum(axis=1)
-    r = np.sqrt(r2)
-
-    qi2 = charges[pair_i] ** 2
-    qj2 = charges[pair_j] ** 2
-
-    # Direction i<-j uses V_j; direction j<-i uses V_i.  The pair geometry
-    # (r, sigma, mu) is symmetric under our parameter choice.
-    omega_ij, sigma, mu = _pair_params(
-        born_params[pair_i], born_params[pair_j], volumes[pair_j]
-    )
-    omega_ji, _, _ = _pair_params(
-        born_params[pair_j], born_params[pair_i], volumes[pair_i]
-    )
-
-    sig2 = sigma**2
+    r2, r = geom.r2, geom.r
+    sig2 = params.sig2
     gauss = np.exp(-r2 / sig2)
 
     r3 = r2 * r
     r4 = r2 * r2
-    mu4 = mu**4
-    denom = r4 + mu4
+    denom = r4 + params.mu4
     frac = r3 / denom                     # f = r^3/(r^4 + mu^4)
     frac4 = frac**4
 
-    tail_i = TAU * qi2 * volumes[pair_j] / (8.0 * np.pi)
-    tail_j = TAU * qj2 * volumes[pair_i] / (8.0 * np.pi)
-
-    e_ij = omega_ij * qi2 * gauss + tail_i * frac4
-    e_ji = omega_ji * qj2 * gauss + tail_j * frac4
+    e_ij = params.omega_qi2 * gauss + params.tail_i * frac4
+    e_ji = params.omega_qj2 * gauss + params.tail_j * frac4
 
     np.add.at(energies, pair_i, e_ij)
     np.add.at(energies, pair_j, e_ji)
@@ -178,13 +248,12 @@ def ace_self_energies(
     dfrac4_dr = 4.0 * (frac**3) * dfrac_dr
 
     de_dr = (
-        omega_ij * qi2 * dgauss_dr
-        + tail_i * dfrac4_dr
-        + omega_ji * qj2 * dgauss_dr
-        + tail_j * dfrac4_dr
+        params.omega_qi2 * dgauss_dr
+        + params.tail_i * dfrac4_dr
+        + params.omega_qj2 * dgauss_dr
+        + params.tail_j * dfrac4_dr
     )
-    r_safe = np.where(r > 0, r, 1.0)
-    g = (de_dr / r_safe)[:, None] * d  # dE/dx_i; dE/dx_j = -g
+    g = (de_dr / geom.r_safe)[:, None] * geom.d  # dE/dx_i; dE/dx_j = -g
     scatter_add_rows(gradient, pair_i, g)
     scatter_sub_rows(gradient, pair_j, g)
     if per_pair:
@@ -215,6 +284,22 @@ def born_radii_from_self_energies(
     return np.clip(alpha, BORN_RADIUS_MIN, BORN_RADIUS_MAX)
 
 
+@dataclass(frozen=True)
+class GbPairParams:
+    """Per-pair Eq. (7) charge products of one pair list."""
+
+    coul_qq: np.ndarray     # 332 q_i q_j
+    gb_qq: np.ndarray       # -166 tau q_i q_j
+
+
+def gb_pair_params(
+    charges: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray
+) -> GbPairParams:
+    """Eq. (7)'s per-pair charge products for a half pairs-list."""
+    qq = charges[pair_i] * charges[pair_j]
+    return GbPairParams(coul_qq=COULOMB_332 * qq, gb_qq=-BORN_166 * TAU * qq)
+
+
 def gb_pairwise_energy(
     coords: np.ndarray,
     charges: np.ndarray,
@@ -236,28 +321,47 @@ def gb_pairwise_energy(
     energy arrays hold per-atom accumulations).  With ``per_pair=True`` a
     fourth element (the per-pair energies) is appended, used by the GPU
     kernel simulations.
+
+    Standalone form of :func:`gb_from_pairs`: builds the pair geometry and
+    parameters for this one call.
     """
-    coords = as_float_array(coords)
-    n = len(coords)
-    per_atom = np.zeros(n, dtype=coords.dtype)
-    gradient = np.zeros((n, 3), dtype=coords.dtype)
+    return gb_from_pairs(
+        pair_geometry(coords, pair_i, pair_j),
+        gb_pair_params(charges, pair_i, pair_j),
+        alphas,
+        per_pair=per_pair,
+        energies_only=energies_only,
+    )
+
+
+def gb_from_pairs(
+    geom: PairGeometry,
+    params: GbPairParams,
+    alphas: np.ndarray,
+    per_pair: bool = False,
+    energies_only: bool = False,
+):
+    """Eq. (7) from a shared pair geometry and per-list charge products.
+
+    ``alphas`` are this evaluation's effective Born radii, so ``a_i a_j``
+    is the one pair quantity gathered here.
+    """
+    pair_i, pair_j = geom.pair_i, geom.pair_j
+    per_atom = np.zeros(geom.n_atoms, dtype=geom.d.dtype)
+    gradient = np.zeros((geom.n_atoms, 3), dtype=geom.d.dtype)
     if len(pair_i) == 0:
         result = (0.0, per_atom, gradient)
         return result + (np.zeros(0),) if per_pair else result
 
-    d = coords[pair_i] - coords[pair_j]
-    r2 = (d * d).sum(axis=1)
-    r = np.sqrt(r2)
-    qq = charges[pair_i] * charges[pair_j]
+    r2, r, r_safe = geom.r2, geom.r, geom.r_safe
     aa = alphas[pair_i] * alphas[pair_j]
 
     expo = np.exp(-r2 / (4.0 * aa))
     f2 = r2 + aa * expo
     f = np.sqrt(f2)
 
-    r_safe = np.where(r > 0, r, 1.0)
-    e_coul = COULOMB_332 * qq / r_safe
-    e_gb = -BORN_166 * TAU * qq / f
+    e_coul = params.coul_qq / r_safe
+    e_gb = params.gb_qq / f
     e_pair = e_coul + e_gb
     total = float(e_pair.sum())
 
@@ -274,8 +378,8 @@ def gb_pairwise_energy(
     # GB term: +166 tau qq / f^2 * df/dr, df/dr = (2r + aa * expo * (-2r/(4aa)))/(2f)
     #        = r (1 - expo/4) / f
     df_dr = r * (1.0 - 0.25 * expo) / f
-    de_dr = -COULOMB_332 * qq / (r_safe**2) + BORN_166 * TAU * qq / f2 * df_dr
-    g = (de_dr / r_safe)[:, None] * d
+    de_dr = -params.coul_qq / (r_safe**2) - params.gb_qq / f2 * df_dr
+    g = (de_dr / r_safe)[:, None] * geom.d
     scatter_add_rows(gradient, pair_i, g)
     scatter_sub_rows(gradient, pair_j, g)
 

@@ -6,7 +6,10 @@ E_torsion + E_improper)  [bonded]``
 The non-bonded terms are evaluated over the neighbor list (built once and
 refreshed only when atoms drift, per the paper's "seldom updated" policy);
 E_elec is the ACE model: per-atom self energies (Eqs. 5-6) feeding effective
-Born radii feeding the GB pairwise term (Eq. 7).
+Born radii feeding the GB pairwise term (Eq. 7).  One evaluation makes one
+pass over the pairs: their geometry is computed once and shared by the
+three non-bonded terms, and their parameters come from a
+:class:`PairTable` built once per neighbor-list build.
 
 Forces are analytic with the frozen-alpha approximation (Born radii are
 treated as constants within one force evaluation; see ``repro.minimize.ace``).
@@ -14,16 +17,22 @@ treated as constants within one force evaluation; see ``repro.minimize.ace``).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.constants import NEIGHBOR_LIST_CUTOFF, VDW_CUTOFF
+from repro.minimize.accumulate import pair_geometry
 from repro.minimize.ace import (
-    ace_self_energies,
+    AceSelfPairParams,
+    GbPairParams,
+    ace_self_from_pairs,
+    ace_self_pair_params,
     born_radii_from_self_energies,
-    gb_pairwise_energy,
+    gb_from_pairs,
+    gb_pair_params,
 )
 from repro.minimize.bonded import (
     angle_energy,
@@ -36,10 +45,16 @@ from repro.minimize.neighborlist import (
     bonded_exclusions,
     build_neighbor_list,
 )
-from repro.minimize.vdw import vdw_energy
+from repro.minimize.vdw import VdwPairParams, vdw_from_pairs, vdw_pair_params
 from repro.structure.molecule import Molecule
 
-__all__ = ["EnergyReport", "EnergyModel", "resolve_bonded_params", "geometry_equilibria"]
+__all__ = [
+    "EnergyReport",
+    "EnergyModel",
+    "PairTable",
+    "resolve_bonded_params",
+    "geometry_equilibria",
+]
 
 
 def resolve_bonded_params(molecule: Molecule) -> Dict[str, np.ndarray]:
@@ -110,6 +125,61 @@ def geometry_equilibria(molecule: Molecule):
     else:
         psi0 = np.empty(0)
     return r0, th0, psi0
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """Per-pair parameters of one pair list, for all three non-bonded terms.
+
+    Like the paper's GPU pairs-lists (Sec. III.B), the table is built when
+    the list is built and read by every evaluation until the list is
+    rebuilt; only the geometry and the Born-radius product change between
+    evaluations.
+    """
+
+    ace_self: AceSelfPairParams
+    gb: GbPairParams
+    vdw: VdwPairParams
+
+    @classmethod
+    def build(
+        cls,
+        params: Dict[str, np.ndarray],
+        pair_i: np.ndarray,
+        pair_j: np.ndarray,
+        cutoff: float,
+    ) -> "PairTable":
+        """Table for pairs ``(pair_i, pair_j)`` from per-atom ``params``."""
+        return cls(
+            ace_self=ace_self_pair_params(
+                params["charges"], params["born"], params["volumes"], pair_i, pair_j
+            ),
+            gb=gb_pair_params(params["charges"], pair_i, pair_j),
+            vdw=vdw_pair_params(params["eps"], params["rm"], pair_i, pair_j, cutoff),
+        )
+
+    @classmethod
+    def concatenate(cls, tables: Sequence["PairTable"]) -> "PairTable":
+        """One table for the pair lists of ``tables`` laid end to end."""
+        if len(tables) == 1:
+            return tables[0]
+
+        def join(parts):
+            first = parts[0]
+            return dataclasses.replace(
+                first,
+                **{
+                    f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                    for f in dataclasses.fields(first)
+                    if isinstance(getattr(first, f.name), np.ndarray)
+                },
+            )
+
+        return cls(
+            ace_self=join([t.ace_self for t in tables]),
+            gb=join([t.gb for t in tables]),
+            vdw=join([t.vdw for t in tables]),
+        )
 
 
 @dataclass
@@ -193,7 +263,9 @@ class EnergyModel:
         self.exclusions = bonded_exclusions(molecule.topology)
         self._nlist: Optional[NeighborList] = None
         self._active: Optional[tuple] = None
+        self._table: Optional[PairTable] = None
         self.list_rebuilds = 0
+        self.pair_table_builds = 0
         if movable is not None:
             movable = np.asarray(movable, dtype=bool)
             if movable.shape != (molecule.n_atoms,):
@@ -217,10 +289,7 @@ class EnergyModel:
     def neighbor_list(self, coords: np.ndarray | None = None) -> NeighborList:
         """Current neighbor list, building it on first use."""
         if self._nlist is None:
-            c = self.molecule.coords if coords is None else coords
-            self._nlist = build_neighbor_list(c, self.list_cutoff, self.exclusions)
-            self._active = None
-            self.list_rebuilds += 1
+            self.force_refresh(self.molecule.coords if coords is None else coords)
         return self._nlist
 
     def active_pairs(self, coords: np.ndarray | None = None):
@@ -233,6 +302,16 @@ class EnergyModel:
                 i, j = i[keep], j[keep]
             self._active = (i, j)
         return self._active
+
+    def pair_table(self, coords: np.ndarray | None = None) -> PairTable:
+        """Per-pair parameters of the active pairs, built once per list build."""
+        pair_i, pair_j = self.active_pairs(coords)
+        if self._table is None:
+            self._table = PairTable.build(
+                self._params, pair_i, pair_j, self.nonbonded_cutoff
+            )
+            self.pair_table_builds += 1
+        return self._table
 
     @property
     def n_active_pairs(self) -> int:
@@ -252,8 +331,10 @@ class EnergyModel:
         return False
 
     def force_refresh(self, coords: np.ndarray) -> None:
+        """Rebuild the neighbor list; active pairs and pair table follow it."""
         self._nlist = build_neighbor_list(coords, self.list_cutoff, self.exclusions)
         self._active = None
+        self._table = None
         self.list_rebuilds += 1
 
     # -- bonded parameter resolution -----------------------------------------------
@@ -267,13 +348,12 @@ class EnergyModel:
         """Full energy, decomposition, per-atom array, and forces."""
         m = self.molecule
         c = np.asarray(m.coords if coords is None else coords, dtype=self.dtype)
-        pair_i, pair_j = self.active_pairs(c)
+        table = self.pair_table(c)
+        geom = pair_geometry(c, *self.active_pairs(c))
         t = self._params
 
         # (i) self energies + gradients (GPU kernel (a) in the paper)
-        self_res = ace_self_energies(
-            c, t["charges"], t["born"], t["volumes"], pair_i, pair_j
-        )
+        self_res = ace_self_from_pairs(geom, table.ace_self, t["charges"], t["born"])
         e_self = float(self_res.self_energies.sum())
 
         # Effective Born radii for the GB pairwise term
@@ -282,12 +362,8 @@ class EnergyModel:
         )
 
         # (ii)+(iii) pairwise elec + vdw (GPU kernel (b))
-        e_gb, per_atom_gb, grad_gb = gb_pairwise_energy(
-            c, t["charges"], alphas, pair_i, pair_j
-        )
-        e_vdw, per_atom_vdw, grad_vdw = vdw_energy(
-            c, t["eps"], t["rm"], pair_i, pair_j, self.nonbonded_cutoff
-        )
+        e_gb, per_atom_gb, grad_gb = gb_from_pairs(geom, table.gb, alphas)
+        e_vdw, per_atom_vdw, grad_vdw = vdw_from_pairs(geom, table.vdw)
 
         # Bonded terms (host side)
         p = self._bonded_params
@@ -334,24 +410,19 @@ class EnergyModel:
         """
         m = self.molecule
         c = np.asarray(m.coords if coords is None else coords, dtype=self.dtype)
-        pair_i, pair_j = self.active_pairs(c)
+        table = self.pair_table(c)
+        geom = pair_geometry(c, *self.active_pairs(c))
         t = self._params
 
-        self_res = ace_self_energies(
-            c, t["charges"], t["born"], t["volumes"], pair_i, pair_j,
-            with_gradient=False,
+        self_res = ace_self_from_pairs(
+            geom, table.ace_self, t["charges"], t["born"], with_gradient=False
         )
         e_self = float(self_res.self_energies.sum())
         alphas = born_radii_from_self_energies(
             self_res.self_energies, t["charges"], t["born"]
         )
-        e_gb, _, _ = gb_pairwise_energy(
-            c, t["charges"], alphas, pair_i, pair_j, energies_only=True
-        )
-        e_vdw, _, _ = vdw_energy(
-            c, t["eps"], t["rm"], pair_i, pair_j, self.nonbonded_cutoff,
-            energies_only=True,
-        )
+        e_gb, _, _ = gb_from_pairs(geom, table.gb, alphas, energies_only=True)
+        e_vdw, _, _ = vdw_from_pairs(geom, table.vdw, energies_only=True)
         p = self._bonded_params
         e_bond, _ = bond_energy(
             c, m.topology.bonds, p["kb"], p["r0"], with_gradient=False

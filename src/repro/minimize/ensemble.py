@@ -15,6 +15,14 @@ pose blocks, so per-pose energies, components, and forces match the serial
 reference to summation-order-level floating point.  What changes is the
 *number of NumPy dispatches* per evaluation — one vectorized pass instead of
 ``P`` — which is where the batched minimizer's wall-clock win comes from.
+
+One pair pass: each evaluation computes the flattened pairs' geometry once
+and hands it to the ACE self, GB and vdW math.  Each pose keeps a
+:class:`~repro.minimize.energy.PairTable` of its per-pair parameters,
+built when that pose's list is built and replaced when it is rebuilt; an
+evaluation lays the evaluated poses' tables end to end (cached for the
+full pose set until any list changes), so a pose-id subset never reads a
+stale table.
 """
 
 from __future__ import annotations
@@ -25,10 +33,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.constants import NEIGHBOR_LIST_CUTOFF, VDW_CUTOFF
+from repro.minimize.accumulate import pair_geometry
 from repro.minimize.ace import (
-    ace_self_energies,
+    ace_self_from_pairs,
     born_radii_from_self_energies,
-    gb_pairwise_energy,
+    gb_from_pairs,
 )
 from repro.minimize.bonded import (
     angle_energy,
@@ -36,14 +45,14 @@ from repro.minimize.bonded import (
     dihedral_energy,
     improper_energy,
 )
-from repro.minimize.energy import resolve_bonded_params
+from repro.minimize.energy import PairTable, resolve_bonded_params
 from repro.minimize.neighborlist import (
     NeighborList,
     SharedNeighborCore,
     bonded_exclusions,
     build_neighbor_list,
 )
-from repro.minimize.vdw import vdw_energy
+from repro.minimize.vdw import vdw_from_pairs
 from repro.structure.molecule import Molecule
 
 __all__ = ["EnsembleEnergyReport", "EnsembleEnergyModel"]
@@ -139,13 +148,24 @@ class EnsembleEnergyModel:
         self.exclusions = bonded_exclusions(molecule.topology)
         self.movable = self._normalize_movable(movable)
         self._bonded_params = resolve_bonded_params(molecule)
+        # One pose's per-atom non-bonded parameters, cast once; the pose
+        # pair tables are built from them.
+        self._atom_params = {
+            "charges": np.asarray(molecule.charges, dtype=self.dtype),
+            "born": np.asarray(molecule.born_radii, dtype=self.dtype),
+            "volumes": np.asarray(molecule.volumes, dtype=self.dtype),
+            "eps": np.asarray(molecule.eps, dtype=self.dtype),
+            "rm": np.asarray(molecule.rm, dtype=self.dtype),
+        }
         self._nlists: List[Optional[NeighborList]] = [None] * self.n_poses
         self._pose_pairs: List[Optional[Tuple[np.ndarray, np.ndarray]]] = (
             [None] * self.n_poses
         )
-        self._flat_full: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._pose_tables: List[Optional[PairTable]] = [None] * self.n_poses
+        self._flat_full: Optional[_FlatPairs] = None
         self._tiled_cache: Dict[int, Dict[str, np.ndarray]] = {}
         self.list_rebuilds = 0
+        self.pair_table_builds = 0
         self.pose_list_rebuilds = np.zeros(self.n_poses, dtype=int)
         if core_atoms is None:
             n_probe = molecule.meta.get("n_probe_atoms")
@@ -212,6 +232,10 @@ class EnsembleEnergyModel:
             i, j = i[keep], j[keep]
         self._nlists[p] = nlist
         self._pose_pairs[p] = (i, j)
+        self._pose_tables[p] = PairTable.build(
+            self._atom_params, i, j, self.nonbonded_cutoff
+        )
+        self.pair_table_builds += 1
         self._flat_full = None
         self.list_rebuilds += 1
         self.pose_list_rebuilds[p] += 1
@@ -267,13 +291,14 @@ class EnsembleEnergyModel:
 
     # -- flattening ------------------------------------------------------------------
 
-    def _flat_pairs(
-        self, pose_ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _flat_pairs(self, pose_ids: np.ndarray) -> "_FlatPairs":
         """Concatenated pair arrays with each pose offset to its own block.
 
-        Returns ``(I, J, boundaries)`` where ``boundaries`` has K+1 entries
-        delimiting each pose's segment of the flat pair arrays.
+        The pair table is the poses' own tables laid end to end: every pose
+        block carries the same per-atom parameters, so a pose's pair
+        parameters do not depend on where its block sits.  The full set is
+        cached until any pose's list is rebuilt; a subset is assembled from
+        the current per-pose tables, so it is never stale.
         """
         full = pose_ids.size == self.n_poses and np.array_equal(
             pose_ids, np.arange(self.n_poses)
@@ -287,14 +312,13 @@ class EnsembleEnergyModel:
             arrs_i.append(i + k * n)
             arrs_j.append(j + k * n)
             counts.append(len(i))
-        if arrs_i:
-            flat_i = np.concatenate(arrs_i)
-            flat_j = np.concatenate(arrs_j)
-        else:
-            flat_i = np.empty(0, dtype=np.intp)
-            flat_j = np.empty(0, dtype=np.intp)
         boundaries = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        out = (flat_i, flat_j, boundaries)
+        out = _FlatPairs(
+            np.concatenate(arrs_i),
+            np.concatenate(arrs_j),
+            boundaries,
+            PairTable.concatenate([self._pose_tables[p] for p in pose_ids]),
+        )
         if full:
             self._flat_full = out
         return out
@@ -337,9 +361,6 @@ class EnsembleEnergyModel:
         out = {
             "charges": tile_param(m.charges),
             "born": tile_param(m.born_radii),
-            "volumes": tile_param(m.volumes),
-            "eps": tile_param(m.eps),
-            "rm": tile_param(m.rm),
             "bonds": tile_topo(m.topology.bonds),
             "angles": tile_topo(m.topology.angles),
             "dihedrals": tile_topo(m.topology.dihedrals),
@@ -389,14 +410,16 @@ class EnsembleEnergyModel:
             )
         for row, p in enumerate(ids):
             self._ensure_pose(int(p), coords[row])
-        pair_i, pair_j, bounds = self._flat_pairs(ids)
+        pairs = self._flat_pairs(ids)
+        bounds, table = pairs.boundaries, pairs.table
         flat = coords.reshape(k * n, 3)
+        geom = pair_geometry(flat, pairs.pair_i, pairs.pair_j)
         par = self._tiled(k)
         m = self.molecule
 
         # (i) self energies + gradients (GPU kernel (a) in the paper)
-        self_res = ace_self_energies(
-            flat, par["charges"], par["born"], par["volumes"], pair_i, pair_j
+        self_res = ace_self_from_pairs(
+            geom, table.ace_self, par["charges"], par["born"]
         )
         alphas = born_radii_from_self_energies(
             self_res.self_energies, par["charges"], par["born"]
@@ -404,12 +427,11 @@ class EnsembleEnergyModel:
 
         # (ii)+(iii) pairwise elec + vdw (GPU kernel (b)); per-pair energies
         # are kept so pose sums replicate the serial accumulation order.
-        _, per_atom_gb, grad_gb, gb_pair = gb_pairwise_energy(
-            flat, par["charges"], alphas, pair_i, pair_j, per_pair=True
+        _, per_atom_gb, grad_gb, gb_pair = gb_from_pairs(
+            geom, table.gb, alphas, per_pair=True
         )
-        _, per_atom_vdw, grad_vdw, vdw_pair = vdw_energy(
-            flat, par["eps"], par["rm"], pair_i, pair_j,
-            self.nonbonded_cutoff, per_pair=True,
+        _, per_atom_vdw, grad_vdw, vdw_pair = vdw_from_pairs(
+            geom, table.vdw, per_pair=True
         )
 
         # Bonded terms (host side), one flattened pass per term.
@@ -478,25 +500,24 @@ class EnsembleEnergyModel:
             return np.zeros(0, dtype=self.dtype)
         for row, p in enumerate(ids):
             self._ensure_pose(int(p), coords[row])
-        pair_i, pair_j, bounds = self._flat_pairs(ids)
+        pairs = self._flat_pairs(ids)
+        bounds, table = pairs.boundaries, pairs.table
         flat = coords.reshape(k * n, 3)
+        geom = pair_geometry(flat, pairs.pair_i, pairs.pair_j)
         par = self._tiled(k)
         m = self.molecule
 
-        self_res = ace_self_energies(
-            flat, par["charges"], par["born"], par["volumes"], pair_i, pair_j,
-            with_gradient=False,
+        self_res = ace_self_from_pairs(
+            geom, table.ace_self, par["charges"], par["born"], with_gradient=False
         )
         alphas = born_radii_from_self_energies(
             self_res.self_energies, par["charges"], par["born"]
         )
-        _, _, _, gb_pair = gb_pairwise_energy(
-            flat, par["charges"], alphas, pair_i, pair_j,
-            per_pair=True, energies_only=True,
+        _, _, _, gb_pair = gb_from_pairs(
+            geom, table.gb, alphas, per_pair=True, energies_only=True
         )
-        _, _, _, vdw_pair = vdw_energy(
-            flat, par["eps"], par["rm"], pair_i, pair_j,
-            self.nonbonded_cutoff, per_pair=True, energies_only=True,
+        _, _, _, vdw_pair = vdw_from_pairs(
+            geom, table.vdw, per_pair=True, energies_only=True
         )
         _, _, bond_t = bond_energy(
             flat, par["bonds"], par["kb"], par["r0"],
@@ -526,6 +547,16 @@ class EnsembleEnergyModel:
         ):
             totals = totals + part
         return totals
+
+
+@dataclass(frozen=True)
+class _FlatPairs:
+    """A pose stack's pair list: each pose's pairs offset into its block."""
+
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    boundaries: np.ndarray    # (K+1,) delimits each pose's segment
+    table: PairTable
 
 
 def _segment_sums(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:

@@ -17,18 +17,35 @@ line searches oscillate).  Pair parameters combine per Eqs. (9)-(10):
 ``eps_ik = sqrt(eps_i eps_k)`` and ``rm_ik = (rm_i + rm_k) / 2``... the
 paper's Eq. (10) writes the sum; we follow CHARMM's rm_min convention where
 per-atom ``rm`` values are half-radii so the pair minimum is their sum.
+
+The math lives in :func:`vdw_from_pairs`, which reads the evaluation's
+shared :class:`~repro.minimize.accumulate.PairGeometry` and the pair
+list's :class:`VdwPairParams` (built with the list, rebuilt with it);
+:func:`vdw_energy` is the standalone form that builds both for one call.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from repro.constants import VDW_CUTOFF
-from repro.minimize.accumulate import as_float_array, scatter_add_rows, scatter_sub_rows
+from repro.minimize.accumulate import (
+    PairGeometry,
+    pair_geometry,
+    scatter_add_rows,
+    scatter_sub_rows,
+)
 
-__all__ = ["vdw_pair_parameters", "vdw_energy"]
+__all__ = [
+    "VdwPairParams",
+    "vdw_energy",
+    "vdw_from_pairs",
+    "vdw_pair_parameters",
+    "vdw_pair_params",
+]
 
 
 def vdw_pair_parameters(
@@ -41,6 +58,40 @@ def vdw_pair_parameters(
     eps_ik = np.sqrt(eps[pair_i] * eps[pair_j])
     rm_ik = rm[pair_i] + rm[pair_j]
     return eps_ik, rm_ik
+
+
+@dataclass(frozen=True)
+class VdwPairParams:
+    """Per-pair Eq. (8)-(10) parameters of one pair list at one cutoff."""
+
+    cutoff: float
+    eps_ik: np.ndarray      # Eq. (9) well depth
+    u: np.ndarray           # rm_ik^6
+    uu: np.ndarray          # rm_ik^12
+    tail6: np.ndarray       # 6 (rm/rc)^6 - 4 (rm/rc)^12, the (r/rc)^6 coefficient
+    tail12: np.ndarray      # 3 (rm/rc)^12 - 4 (rm/rc)^6, the (r/rc)^12 coefficient
+
+
+def vdw_pair_params(
+    eps: np.ndarray,
+    rm: np.ndarray,
+    pair_i: np.ndarray,
+    pair_j: np.ndarray,
+    cutoff: float,
+) -> VdwPairParams:
+    """Combined LJ parameters and cutoff-tail coefficients of every pair."""
+    eps_ik, rm_ik = vdw_pair_parameters(eps, rm, pair_i, pair_j)
+    u = rm_ik**6
+    c6 = u / cutoff**6                    # (rm/rc)^6
+    c12 = c6 * c6
+    return VdwPairParams(
+        cutoff=cutoff,
+        eps_ik=eps_ik,
+        u=u,
+        uu=u * u,
+        tail6=6.0 * c6 - 4.0 * c12,
+        tail12=3.0 * c12 - 4.0 * c6,
+    )
 
 
 def vdw_energy(
@@ -58,38 +109,49 @@ def vdw_energy(
     Returns ``(total, per_atom, gradient)`` (plus per-pair energies when
     ``per_pair=True``).  Pairs at or beyond the cutoff contribute exactly
     zero energy and force.
+
+    Standalone form of :func:`vdw_from_pairs`: builds the pair geometry and
+    parameters for this one call.
     """
-    coords = as_float_array(coords)
-    n = len(coords)
-    per_atom = np.zeros(n, dtype=coords.dtype)
-    gradient = np.zeros((n, 3), dtype=coords.dtype)
+    return vdw_from_pairs(
+        pair_geometry(coords, pair_i, pair_j),
+        vdw_pair_params(eps, rm, pair_i, pair_j, cutoff),
+        per_pair=per_pair,
+        energies_only=energies_only,
+    )
+
+
+def vdw_from_pairs(
+    geom: PairGeometry,
+    params: VdwPairParams,
+    per_pair: bool = False,
+    energies_only: bool = False,
+):
+    """Smoothed LJ from a shared pair geometry and per-list parameters."""
+    pair_i, pair_j = geom.pair_i, geom.pair_j
+    per_atom = np.zeros(geom.n_atoms, dtype=geom.d.dtype)
+    gradient = np.zeros((geom.n_atoms, 3), dtype=geom.d.dtype)
     if len(pair_i) == 0:
         result = (0.0, per_atom, gradient)
         return result + (np.zeros(0),) if per_pair else result
 
-    d = coords[pair_i] - coords[pair_j]
-    r2 = (d * d).sum(axis=1)
-    r = np.sqrt(r2)
-
-    eps_ik, rm_ik = vdw_pair_parameters(eps, rm, pair_i, pair_j)
-
-    rc = cutoff
+    r = geom.r
+    eps_ik, tail6, tail12 = params.eps_ik, params.tail6, params.tail12
+    rc = params.cutoff
     inside = r < rc
     r_in = np.where(inside, r, rc)  # dummy values outside; masked later
     r_in = np.where(r_in > 1e-6, r_in, 1e-6)  # guard r=0 overlap
 
-    u = rm_ik**6
-    inv_r6 = 1.0 / r_in**6
-    a = u * u * inv_r6 * inv_r6          # rm^12 / r^12
-    b = u * inv_r6                        # rm^6  / r^6
+    r6 = r_in**6
+    inv_r6 = 1.0 / r6
+    a = params.uu * inv_r6 * inv_r6      # rm^12 / r^12
+    b = params.u * inv_r6                # rm^6  / r^6
     rc6 = rc**6
     rc12 = rc6 * rc6
-    p6 = r_in**6 / rc6                    # (r/rc)^6
+    p6 = r6 / rc6                         # (r/rc)^6
     p12 = p6 * p6
-    c6 = u / rc6                          # (rm/rc)^6
-    c12 = c6 * c6
 
-    e_pair = eps_ik * (a - 2.0 * b + p6 * (6.0 * c6 - 4.0 * c12) + p12 * (3.0 * c12 - 4.0 * c6))
+    e_pair = eps_ik * (a - 2.0 * b + p6 * tail6 + p12 * tail12)
     e_pair = np.where(inside, e_pair, 0.0)
     total = float(e_pair.sum())
 
@@ -107,12 +169,12 @@ def vdw_energy(
     de_dr = eps_ik * (
         -12.0 * a / r_in
         + 12.0 * b / r_in
-        + 6.0 * (r_in**5) / rc6 * (6.0 * c6 - 4.0 * c12)
-        + 12.0 * (r_in**11) / rc12 * (3.0 * c12 - 4.0 * c6)
+        + 6.0 * (r_in**5) / rc6 * tail6
+        + 12.0 * (r_in**11) / rc12 * tail12
     )
     de_dr = np.where(inside, de_dr, 0.0)
     r_safe = np.where(r > 1e-6, r, 1e-6)
-    g = (de_dr / r_safe)[:, None] * d
+    g = (de_dr / r_safe)[:, None] * geom.d
     scatter_add_rows(gradient, pair_i, g)
     scatter_sub_rows(gradient, pair_j, g)
 

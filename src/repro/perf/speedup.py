@@ -26,6 +26,7 @@ __all__ = [
     "TEMPLATE_BYTES_PER_ATOM",
     "multi_device_phase_s",
     "multigpu_minimization_scaling",
+    "shard_makespan_s",
 ]
 
 #: Paper Table 1 (per rotation): (serial ms, GPU ms, speedup).
@@ -262,6 +263,17 @@ COORD_BYTES_PER_ATOM = 12.0
 TEMPLATE_BYTES_PER_ATOM = 40.0
 
 
+def shard_makespan_s(plan, per_item_s: float, per_shard_s: float) -> float:
+    """Modeled wall-clock of ``plan``'s busiest device.
+
+    Every item costs ``per_item_s``; every shard adds ``per_shard_s`` of
+    fixed overhead (e.g. its input upload) before the max is taken.
+    """
+    if not plan.shards:
+        return 0.0
+    return max(s.size * per_item_s + per_shard_s for s in plan.shards)
+
+
 def multi_device_phase_s(
     n_poses: int,
     n_pairs: int,
@@ -285,7 +297,7 @@ def multi_device_phase_s(
     iter_s = scheme_c_iteration_s(n_pairs, n_atoms, topology.device_spec)
     upload_s = cost.transfer_time(int(plan.largest * n_atoms * COORD_BYTES_PER_ATOM))
     broadcast_s = topology.broadcast_s(int(n_atoms * TEMPLATE_BYTES_PER_ATOM))
-    return plan.makespan_s(iterations * iter_s, per_shard_s=upload_s) + broadcast_s
+    return shard_makespan_s(plan, iterations * iter_s, upload_s) + broadcast_s
 
 
 def multigpu_minimization_scaling(

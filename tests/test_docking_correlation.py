@@ -116,6 +116,27 @@ class TestDirectEngine:
         rec, _ = random_grids(rng, 8, 2)
         assert direct_correlate_batch(rec, []) == []
 
+    def test_matches_per_voxel_loop_bitwise(self):
+        """The buffered accumulation adds exactly the terms of the plain
+        loop ``out += v * rec64[window]``, in the same order."""
+        local = np.random.default_rng(21)
+        rec, lig = random_grids(local, 12, 4)
+        lig.channels[lig.channels < 0.3] = 0.0   # sparse, like probe grids
+        t = 12 - 4 + 1
+        ref = np.zeros((t, t, t))
+        weights = rec.weights * lig.weights
+        for c in range(rec.n_channels):
+            r64 = rec.channels[c].astype(np.float64)
+            l_c = lig.channels[c]
+            corr = np.zeros((t, t, t))
+            for (dx, dy, dz), v in zip(
+                np.argwhere(l_c != 0), l_c[l_c != 0].astype(np.float64)
+            ):
+                corr += v * r64[dx : dx + t, dy : dy + t, dz : dz + t]
+            ref += weights[c] * corr
+        got = DirectCorrelationEngine().correlate(rec, lig)
+        np.testing.assert_array_equal(got, ref)
+
 
 class TestFFTEngine:
     def test_receptor_cache_reused(self, rng):

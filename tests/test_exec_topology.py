@@ -9,7 +9,7 @@ from repro.cuda.multigpu import DeviceTopology
 from repro.exec import ShardPlan
 from repro.minimize.multidevice import MultiDeviceMinimizer
 from repro.minimize.selection import DEFAULT_MINIMIZE_BATCH, select_minimize_backend
-from repro.perf.speedup import multi_device_phase_s
+from repro.perf.speedup import multi_device_phase_s, shard_makespan_s
 
 FTMAP_PAIRS = 10_000
 FTMAP_ATOMS = 2_200
@@ -40,7 +40,6 @@ class TestShardPlan:
         plan = ShardPlan.contiguous(0, 4)
         assert plan.shards == ()
         assert plan.largest == 0
-        assert plan.makespan_s(1.0) == 0.0
 
     def test_reduction_order_is_plan_order(self):
         plan = ShardPlan.contiguous(7, 3)
@@ -48,16 +47,23 @@ class TestShardPlan:
         starts = [s.start for s in plan.shards]
         assert starts == sorted(starts)
 
-    def test_makespan(self):
-        plan = ShardPlan.contiguous(10, 4)
-        assert plan.makespan_s(2.0) == pytest.approx(6.0)
-        assert plan.makespan_s(2.0, per_shard_s=0.5) == pytest.approx(6.5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardPlan.contiguous(-1, 2)
         with pytest.raises(ValueError):
             ShardPlan.contiguous(5, 0)
+
+
+class TestShardMakespanModel:
+    """The makespan model over a plan (paper-model arithmetic, repro.perf)."""
+
+    def test_zero_items(self):
+        assert shard_makespan_s(ShardPlan.contiguous(0, 4), 1.0, 0.0) == 0.0
+
+    def test_makespan(self):
+        plan = ShardPlan.contiguous(10, 4)
+        assert shard_makespan_s(plan, 2.0, 0.0) == pytest.approx(6.0)
+        assert shard_makespan_s(plan, 2.0, 0.5) == pytest.approx(6.5)
 
 
 class TestDeviceTopology:

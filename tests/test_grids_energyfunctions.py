@@ -130,6 +130,21 @@ class TestDesolvationEigenterms:
         assert np.array_equal(w1, w2)
         assert np.array_equal(s1, s2)
 
+    def test_eigensolve_memoized_read_only(self):
+        """The cached eigenpairs are the decomposition itself, shared
+        read-only by every call with the same type universe and seed."""
+        from repro.grids.energyfunctions import _contact_eigenpairs
+        from repro.structure.forcefield import DEFAULT_ATOM_TYPES
+
+        universe = tuple(sorted(DEFAULT_ATOM_TYPES))
+        vals, vecs = _contact_eigenpairs(universe, 11)
+        assert _contact_eigenpairs(universe, 11)[1] is vecs
+        assert not vals.flags.writeable and not vecs.flags.writeable
+        raw = np.random.default_rng(11).normal(size=(len(universe),) * 2)
+        fresh_vals, fresh_vecs = np.linalg.eigh(0.5 * (raw + raw.T))
+        assert np.array_equal(vals, fresh_vals)
+        assert np.array_equal(vecs, fresh_vecs)
+
     def test_seed_sensitivity(self):
         w1, _ = desolvation_eigenterms(["CT", "O"], 4, seed=1)
         w2, _ = desolvation_eigenterms(["CT", "O"], 4, seed=2)

@@ -156,3 +156,145 @@ class TestSerialFastPaths:
     def test_bad_dtype_rejected(self, small_complex):
         with pytest.raises(ValueError):
             EnergyModel(small_complex, dtype=np.float16)
+
+
+def _kernel_reference(model: EnergyModel, coords: np.ndarray):
+    """The standalone kernels composed as the perfbench replay composes them.
+
+    Returns ``(total, components, gradient, per_atom, alphas)`` computed with
+    ``model``'s dtype and active pairs, each kernel building its own pair
+    geometry and parameters.
+    """
+    from repro.minimize import (
+        ace_self_energies,
+        angle_energy,
+        bond_energy,
+        born_radii_from_self_energies,
+        dihedral_energy,
+        gb_pairwise_energy,
+        improper_energy,
+        resolve_bonded_params,
+        vdw_energy,
+    )
+
+    mol = model.molecule
+    topo = mol.topology
+    dt = model.dtype
+    c = np.asarray(coords, dtype=dt)
+    pair_i, pair_j = model.active_pairs(c)
+    q, born, vol, eps, rm = (
+        np.asarray(a, dtype=dt)
+        for a in (mol.charges, mol.born_radii, mol.volumes, mol.eps, mol.rm)
+    )
+    bp = {k: np.asarray(v, dtype=dt) for k, v in resolve_bonded_params(mol).items()}
+    self_res = ace_self_energies(c, q, born, vol, pair_i, pair_j)
+    alphas = born_radii_from_self_energies(self_res.self_energies, q, born)
+    e_gb, pa_gb, g_gb = gb_pairwise_energy(c, q, alphas, pair_i, pair_j)
+    e_vdw, pa_vdw, g_vdw = vdw_energy(
+        c, eps, rm, pair_i, pair_j, model.nonbonded_cutoff
+    )
+    e_bond, g_bond = bond_energy(c, topo.bonds, bp["kb"], bp["r0"])
+    e_angle, g_angle = angle_energy(c, topo.angles, bp["ka"], bp["th0"])
+    e_dih, g_dih = dihedral_energy(
+        c, topo.dihedrals, bp["kd"], bp["nmul"], bp["delt"]
+    )
+    e_imp, g_imp = improper_energy(c, topo.impropers, bp["ki"], bp["psi0"])
+    components = {
+        "elec_self": float(self_res.self_energies.sum()),
+        "elec_pairwise": e_gb,
+        "vdw": e_vdw,
+        "bond": e_bond,
+        "angle": e_angle,
+        "dihedral": e_dih,
+        "improper": e_imp,
+    }
+    total = float(sum(components.values()))
+    gradient = self_res.gradient + g_gb + g_vdw + g_bond + g_angle + g_dih + g_imp
+    per_atom = self_res.self_energies + pa_gb + pa_vdw
+    return total, components, gradient, per_atom, alphas
+
+
+class TestOnePairPass:
+    """The model's single pair pass (shared geometry, per-list pair table)
+    reproduces the standalone kernels bit for bit."""
+
+    @pytest.fixture
+    def setup(self, small_complex):
+        mask = pocket_movable_mask(small_complex, small_complex.meta["n_probe_atoms"])
+        local = np.random.default_rng(11)
+        x = small_complex.coords + local.normal(
+            scale=0.01, size=small_complex.coords.shape
+        )
+        return mask, x
+
+    @staticmethod
+    def _assert_matches_kernels(model, x):
+        total, components, gradient, per_atom, alphas = _kernel_reference(model, x)
+        rep = model.evaluate(x)
+        assert rep.total == total
+        assert rep.components == components
+        np.testing.assert_array_equal(rep.forces, -gradient)
+        np.testing.assert_array_equal(rep.per_atom_nonbonded, per_atom)
+        np.testing.assert_array_equal(rep.born_radii, alphas)
+        assert model.energy_only(x) == total
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_kernels_before_and_after_refresh(self, small_complex, setup, dtype):
+        mask, x = setup
+        model = EnergyModel(small_complex, movable=mask, dtype=dtype)
+        self._assert_matches_kernels(model, x)
+        n_probe = small_complex.meta["n_probe_atoms"]
+        moved = x.copy()
+        moved[-n_probe:] += np.array([1.5, -0.5, 0.25])
+        pairs_before = model.n_active_pairs
+        model.force_refresh(moved)
+        self._assert_matches_kernels(model, moved)
+        assert model.list_rebuilds == 2
+        assert model.n_active_pairs != pairs_before
+
+    def test_table_built_once_per_list_build(self, small_complex, setup):
+        mask, x = setup
+        model = EnergyModel(small_complex, movable=mask)
+        assert model.pair_table_builds == 0
+        model.evaluate(x)
+        model.energy_only(x)
+        model.evaluate(x)
+        assert model.pair_table_builds == 1
+        assert not model.maybe_refresh(x)
+        assert model.pair_table_builds == 1
+        far = x.copy()
+        far[-1] += 50.0
+        assert model.maybe_refresh(far)
+        model.energy_only(far)
+        assert model.pair_table_builds == 2
+        model.force_refresh(x)
+        model.evaluate(x)
+        assert model.pair_table_builds == model.list_rebuilds == 3
+
+    def test_table_follows_the_active_pairs(self, small_complex, setup):
+        mask, x = setup
+        model = EnergyModel(small_complex, movable=mask)
+        table = model.pair_table(x)
+        assert len(table.gb.coul_qq) == model.n_active_pairs
+        model.force_refresh(x)
+        assert model.pair_table(x) is not table
+
+
+class TestPairGeometry:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_indexed_reduction(self, dtype):
+        """``take`` and the unrolled length-3 sum give exactly the bits of
+        ``coords[i] - coords[j]`` and ``(d*d).sum(axis=1)``."""
+        from repro.minimize.accumulate import pair_geometry
+
+        local = np.random.default_rng(5)
+        coords = (local.normal(size=(500, 3)) * 8.0).astype(dtype)
+        i = local.integers(0, 500, 20_000)
+        j = local.integers(0, 500, 20_000)
+        geom = pair_geometry(coords, i, j)
+        d = coords[i] - coords[j]
+        r2 = (d * d).sum(axis=1)
+        np.testing.assert_array_equal(geom.d, d)
+        np.testing.assert_array_equal(geom.r2, r2)
+        np.testing.assert_array_equal(geom.r, np.sqrt(r2))
+        assert geom.r2.dtype == dtype

@@ -225,3 +225,156 @@ class TestEmptyEnsemble:
         assert rep.n_poses == 0
         assert rep.totals.shape == (0,)
         assert em.n_active_pairs == 0
+
+
+def _kernel_reference(model: EnsembleEnergyModel, coords: np.ndarray, ids):
+    """The standalone kernels over the flattened stack, each building its
+    own pair geometry and parameters; returns ``(totals, components,
+    gradient, per_atom, alphas)`` in the ensemble's layout and dtype."""
+    from repro.minimize import (
+        ace_self_energies,
+        angle_energy,
+        bond_energy,
+        born_radii_from_self_energies,
+        dihedral_energy,
+        gb_pairwise_energy,
+        improper_energy,
+        resolve_bonded_params,
+        vdw_energy,
+    )
+
+    mol, n, dt, k = model.molecule, model.n_atoms, model.dtype, len(ids)
+    flat = np.asarray(coords, dtype=dt).reshape(k * n, 3)
+    pairs = [model.pair_arrays(p) for p in ids]
+    pair_i = np.concatenate([i + row * n for row, (i, _) in enumerate(pairs)])
+    pair_j = np.concatenate([j + row * n for row, (_, j) in enumerate(pairs)])
+    bounds = np.concatenate([[0], np.cumsum([len(i) for i, _ in pairs])])
+
+    def tile(a):
+        return np.tile(np.asarray(a, dtype=dt), k)
+
+    def tile_topo(a):
+        a = np.asarray(a, dtype=np.intp)
+        if len(a) == 0:
+            return a
+        return np.tile(a, (k, 1)) + np.repeat(np.arange(k) * n, len(a))[:, None]
+
+    q, born, vol, eps, rm = (
+        tile(a) for a in (mol.charges, mol.born_radii, mol.volumes, mol.eps, mol.rm)
+    )
+    bp = {key: tile(v) for key, v in resolve_bonded_params(mol).items()}
+    topo = mol.topology
+    self_res = ace_self_energies(flat, q, born, vol, pair_i, pair_j)
+    alphas = born_radii_from_self_energies(self_res.self_energies, q, born)
+    _, pa_gb, g_gb, gb_pair = gb_pairwise_energy(
+        flat, q, alphas, pair_i, pair_j, per_pair=True
+    )
+    _, pa_vdw, g_vdw, vdw_pair = vdw_energy(
+        flat, eps, rm, pair_i, pair_j, model.nonbonded_cutoff, per_pair=True
+    )
+    _, g_bond, bond_t = bond_energy(
+        flat, tile_topo(topo.bonds), bp["kb"], bp["r0"], per_term=True
+    )
+    _, g_angle, angle_t = angle_energy(
+        flat, tile_topo(topo.angles), bp["ka"], bp["th0"], per_term=True
+    )
+    _, g_dih, dih_t = dihedral_energy(
+        flat, tile_topo(topo.dihedrals), bp["kd"], bp["nmul"], bp["delt"],
+        per_term=True,
+    )
+    _, g_imp, imp_t = improper_energy(
+        flat, tile_topo(topo.impropers), bp["ki"], bp["psi0"], per_term=True
+    )
+
+    def segments(values):
+        return np.array([values[bounds[s]:bounds[s + 1]].sum() for s in range(k)])
+
+    components = {
+        "elec_self": self_res.self_energies.reshape(k, n).sum(axis=1),
+        "elec_pairwise": segments(gb_pair),
+        "vdw": segments(vdw_pair),
+        "bond": bond_t.reshape(k, len(topo.bonds)).sum(axis=1),
+        "angle": angle_t.reshape(k, len(topo.angles)).sum(axis=1),
+        "dihedral": dih_t.reshape(k, len(topo.dihedrals)).sum(axis=1),
+        "improper": imp_t.reshape(k, len(topo.impropers)).sum(axis=1),
+    }
+    totals = np.zeros(k, dtype=dt)
+    for value in components.values():
+        totals = totals + value
+    gradient = self_res.gradient + g_gb + g_vdw + g_bond + g_angle + g_dih + g_imp
+    per_atom = self_res.self_energies + pa_gb + pa_vdw
+    return (
+        totals,
+        components,
+        gradient.reshape(k, n, 3),
+        per_atom.reshape(k, n),
+        alphas.reshape(k, n),
+    )
+
+
+class TestOnePairPass:
+    """The ensemble's single pair pass (shared geometry, per-pose pair
+    tables laid end to end) reproduces the standalone kernels bit for bit."""
+
+    @staticmethod
+    def _assert_matches_kernels(model, coords, ids):
+        totals, components, gradient, per_atom, alphas = _kernel_reference(
+            model, coords, ids
+        )
+        pose_ids = None if len(ids) == model.n_poses else ids
+        rep = model.evaluate(coords, pose_ids=pose_ids)
+        np.testing.assert_array_equal(rep.totals, totals)
+        assert rep.components.keys() == components.keys()
+        for key, value in components.items():
+            np.testing.assert_array_equal(rep.components[key], value)
+        np.testing.assert_array_equal(rep.forces, -gradient)
+        np.testing.assert_array_equal(rep.per_atom_nonbonded, per_atom)
+        np.testing.assert_array_equal(rep.born_radii, alphas)
+        np.testing.assert_array_equal(
+            model.energy_only(coords, pose_ids=pose_ids), totals
+        )
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("ids", [list(range(N_POSES)), [2, 0], [3]])
+    def test_matches_kernels_before_and_after_refresh(
+        self, complex_mol, ensemble, precision, ids
+    ):
+        stack, masks = ensemble
+        em = EnsembleEnergyModel(complex_mol, stack, movable=masks, precision=precision)
+        self._assert_matches_kernels(em, stack[ids], ids)
+        n_probe = complex_mol.meta["n_probe_atoms"]
+        moved = stack.copy()
+        moved[:, -n_probe:] += np.array([1.5, -0.5, 0.25])
+        em.force_refresh(moved[ids], pose_ids=ids)
+        self._assert_matches_kernels(em, moved[ids], ids)
+        self._assert_matches_kernels(em, moved, list(range(N_POSES)))
+
+    def test_table_built_once_per_pose_list_build(self, complex_mol, ensemble):
+        stack, masks = ensemble
+        em = EnsembleEnergyModel(complex_mol, stack, movable=masks)
+        assert em.pair_table_builds == 0
+        em.evaluate(stack)
+        em.energy_only(stack)
+        em.energy_only(stack[[1, 3]], pose_ids=[1, 3])
+        em.evaluate(stack[[2]], pose_ids=[2])
+        assert em.pair_table_builds == N_POSES
+        assert not em.maybe_refresh(stack)
+        assert em.pair_table_builds == N_POSES
+        moved = stack.copy()
+        moved[1, -complex_mol.meta["n_probe_atoms"]:] += 30.0
+        assert em.maybe_refresh(moved)
+        assert em.pair_table_builds == N_POSES + 1
+        em.force_refresh(moved[[0, 2]], pose_ids=[0, 2])
+        assert em.pair_table_builds == em.list_rebuilds == N_POSES + 3
+
+    def test_subset_table_is_never_stale(self, complex_mol, ensemble):
+        """A pose refreshed after the full set was evaluated reads its new
+        table in the full set and in every subset."""
+        stack, masks = ensemble
+        em = EnsembleEnergyModel(complex_mol, stack, movable=masks)
+        em.evaluate(stack)
+        moved = stack.copy()
+        moved[1, -complex_mol.meta["n_probe_atoms"]:] += np.array([2.0, 0.0, 0.0])
+        em.force_refresh(moved[[1]], pose_ids=[1])
+        self._assert_matches_kernels(em, moved, list(range(N_POSES)))
+        self._assert_matches_kernels(em, moved[[1, 0]], [1, 0])
