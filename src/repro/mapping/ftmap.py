@@ -578,7 +578,7 @@ def minimize_poses(
     if tracer.enabled:
         span.set_attributes(devices=run.num_devices)
         # Per-shard spans from the wall clocks the multi-device engine
-        # measured on its worker threads: recorded post hoc so the trace
+        # measured where each shard ran: recorded post hoc so the trace
         # shows true shard overlap without plumbing obs into the engine.
         for shard in run.shards:
             tracer.add_span(

@@ -107,9 +107,10 @@ class MinimizationEngine:
         with ``auto``, two or more devices shard any ensemble of two or
         more poses over them.
     shard_workers:
-        Concurrent shard executions for ``multi-gpu-sim`` (``1`` forces
-        the sequential shard loop; default one thread per shard, capped
-        by the CPUs this process may run on).
+        Concurrent shard executions for ``multi-gpu-sim``: the calling
+        thread plus ``shard_workers - 1`` worker processes (``1`` forces
+        the sequential shard loop; default one per shard, capped by the
+        CPUs this process may run on).
     """
 
     def __init__(

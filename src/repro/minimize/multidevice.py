@@ -20,33 +20,47 @@ production precision too.  That invariance is also what lets the
 minimization artifact cache key stay *shard-invariant* (device count and
 batch size excluded).
 
-Shards execute on a thread pool by default, one thread per shard up to
-the CPUs this process may run on (real overlap wherever the NumPy kernels
-release the GIL); ``shard_workers=1``, or a single usable CPU, runs the
-sequential loop.  Cancellation
-is cooperative at shard starts and at every batch-chunk boundary within
-a shard: queued shards never start after a cancel, and a running shard
-stops at its next memory-budgeted chunk rather than mid-kernel (in the
-default parallel mode all shards may already be in flight, so the chunk
-boundaries are what bounds the latency of a cancel).
+Shards run on ``lanes`` execution lanes, one per shard up to the CPUs
+this process may run on: the calling thread is lane 0 and every other
+lane is a worker process (:class:`~repro.workers.pool.ProcessWorkerPool`);
+shard ``k`` runs on lane ``k % lanes``.  Each worker is a separate
+process, like a separate device with its own memory: no interpreter lock
+couples the lanes, so a shard's GIL-held work (the gradient scatters, the
+bonded terms' small ops, per-shard set-up) runs in parallel with the
+others.  Workers fork, so the ensemble and the shards' shared set-up
+reach them without a copy, and only each shard's results travel back;
+the calling thread computing too saves one fork, whose cost grows with
+the caller's memory.  ``shard_workers=1``, a single usable CPU, or a
+daemonic caller (a process-streaming worker may not start processes)
+runs every shard in the calling thread.
+
+Cancellation is cooperative.  The calling thread checks as each of its
+shards starts and at every batch-chunk boundary within one, so a shard
+it runs stops at its next memory-budgeted chunk rather than mid-kernel.
+It also checks before dispatching each worker shard and then every 50 ms
+while workers run; a cancel terminates the workers, so their queued
+shards never start and running ones stop at once.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.constants import NEIGHBOR_LIST_CUTOFF, VDW_CUTOFF
 from repro.exec.plan import ShardPlan
 from repro.minimize.batched import BatchedMinimizer
-from repro.minimize.ensemble import EnsembleEnergyModel
+from repro.minimize.ensemble import EnsembleEnergyModel, EnsembleSetup
 from repro.minimize.minimizer import MinimizationResult, MinimizerConfig
 from repro.structure.molecule import Molecule
 from repro.util.parallel import usable_cpus
+from repro.workers.pool import ProcessWorkerPool
 
 __all__ = [
     "DEFAULT_MINIMIZE_DEVICES",
@@ -59,6 +73,9 @@ __all__ = [
 #: when ``devices`` is not given: the smallest real fan-out.
 DEFAULT_MINIMIZE_DEVICES = 2
 
+#: Seconds between the caller's cancel checks while shard processes run.
+_CANCEL_POLL_S = 0.05
+
 
 @dataclass(frozen=True)
 class ShardExecution:
@@ -69,8 +86,9 @@ class ShardExecution:
     stop: int
     n_poses: int
     #: Measured host wall clock of this shard (``time.perf_counter``
-    #: start and elapsed seconds on its worker thread), consumed by the
-    #: tracing layer to reconstruct shard overlap post hoc.
+    #: start and elapsed seconds where it ran; ``CLOCK_MONOTONIC``, one
+    #: clock for every process on the host), consumed by the tracing
+    #: layer to reconstruct shard overlap post hoc.
     wall_start_s: float
     wall_s: float
 
@@ -111,9 +129,10 @@ class MultiDeviceMinimizer:
         in chunks exactly like the single-device batched path —
         numerically invisible (per-pose independence), memory-visible.
     shard_workers:
-        Concurrent shard executions (default: one thread per shard up to
-        :func:`~repro.util.parallel.usable_cpus`; ``1`` forces the
-        sequential loop).
+        Concurrent shard executions: the calling thread plus
+        ``shard_workers - 1`` worker processes (default: one lane per
+        shard up to :func:`~repro.util.parallel.usable_cpus`; ``1``
+        forces the sequential loop).
     """
 
     def __init__(
@@ -185,66 +204,29 @@ class MultiDeviceMinimizer:
     ) -> MultiDeviceRun:
         """Minimize every shard; results merge in the plan's fixed order.
 
-        ``cancel_check()`` runs as each shard starts and before every
-        batch chunk within a shard (raise to stop at that boundary —
-        queued shards are abandoned, running shards stop at their next
-        chunk); ``on_shard(shard_index, num_shards)`` fires as each shard
-        starts, for per-shard progress reporting.
+        ``cancel_check()`` runs as each shard of the calling thread
+        starts and before every batch chunk within one, before each
+        dispatch to a worker process, and every 50 ms while workers run
+        (raise to stop: queued shards are abandoned, running ones stop);
+        ``on_shard(shard_index, num_shards)`` fires in the calling thread
+        as each shard is dispatched or starts there, for per-shard
+        progress reporting.
         """
         plan = self.plan()
-        shards = plan.shards
-        n_shards = len(shards)
-
-        def exec_shard(k: int) -> Tuple[List[MinimizationResult], ShardExecution]:
-            if cancel_check is not None:
-                cancel_check()
-            if on_shard is not None:
-                on_shard(k, n_shards)
-            shard = shards[k]
-            wall_start = time.perf_counter()
-            # The shard evaluates in memory-budgeted batches, like the
-            # single-device batched path; per-pose independence makes the
-            # chunking numerically invisible.
-            limit = self.batch_size or shard.size
-            results: List[MinimizationResult] = []
-            for lo in range(shard.start, shard.stop, limit):
-                if lo != shard.start and cancel_check is not None:
-                    cancel_check()
-                hi = min(lo + limit, shard.stop)
-                sub = EnsembleEnergyModel(
-                    self.molecule,
-                    self.coords_stack[lo:hi],
-                    movable=(
-                        None if self.movable is None else self.movable[lo:hi]
-                    ),
-                    nonbonded_cutoff=self.nonbonded_cutoff,
-                    list_cutoff=self.list_cutoff,
-                    precision=self.precision,
-                )
-                results.extend(BatchedMinimizer(sub, self.config).run())
-            execution = ShardExecution(
-                device_index=shard.device_index,
-                start=shard.start,
-                stop=shard.stop,
-                n_poses=shard.size,
-                wall_start_s=wall_start,
-                wall_s=time.perf_counter() - wall_start,
+        n_shards = len(plan.shards)
+        # Exclusions, bonded parameters and the receptor's neighbor list
+        # are built once for every shard (forked workers inherit them).
+        setup = (
+            EnsembleSetup.build(
+                self.molecule, self.coords_stack[0], self.precision, self.list_cutoff
             )
-            return results, execution
-
-        workers = self.shard_workers or min(n_shards, usable_cpus())
-        if workers > 1 and n_shards > 1:
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="minimize-shard"
-            ) as pool:
-                futures = [pool.submit(exec_shard, k) for k in range(n_shards)]
-                # Gathered in submission order == plan order: the
-                # deterministic reduction, independent of completion
-                # timing.  The first shard error (cancellation included)
-                # propagates here.
-                outs = [f.result() for f in futures]
-        else:
-            outs = [exec_shard(k) for k in range(n_shards)]
+            if self.n_poses
+            else None
+        )
+        lanes = min(self.shard_workers or usable_cpus(), n_shards)
+        if mp.current_process().daemon:
+            lanes = 1                   # a daemonic process starts none
+        outs = self._run_lanes(max(lanes, 1), setup, cancel_check, on_shard)
 
         results: List[MinimizationResult] = []
         executions: List[ShardExecution] = []
@@ -257,3 +239,109 @@ class MultiDeviceMinimizer:
             shards=tuple(executions),
             reduction_order=plan.reduction_order,
         )
+
+    def _run_lanes(
+        self,
+        lanes: int,
+        setup: Optional[EnsembleSetup],
+        cancel_check: Optional[Callable[[], None]],
+        on_shard: Optional[Callable[[int, int], None]],
+    ) -> List[Tuple[List[MinimizationResult], ShardExecution]]:
+        n_shards = len(self.plan().shards)
+        outs: Dict[int, Tuple[List[MinimizationResult], ShardExecution]] = {}
+        pool = (
+            ProcessWorkerPool(
+                lanes - 1,
+                initializer=_init_shard_worker,
+                initargs=(self, setup),
+                name="minimize-shard",
+            )
+            if lanes > 1
+            else nullcontext()
+        )
+        # Leaving the ``with`` on an exception (a cancel, a shard error)
+        # terminates the workers.
+        with pool:
+            futures = {}
+            for k in range(n_shards):
+                if k % lanes:
+                    if cancel_check is not None:
+                        cancel_check()
+                    if on_shard is not None:
+                        on_shard(k, n_shards)
+                    futures[k] = pool.submit(_shard_task, k)
+            for k in range(0, n_shards, lanes):
+                if cancel_check is not None:
+                    cancel_check()
+                if on_shard is not None:
+                    on_shard(k, n_shards)
+                outs[k] = self._exec_shard(k, setup, cancel_check)
+            pending = set(futures.values())
+            while pending:
+                done, pending = wait(
+                    pending, timeout=_CANCEL_POLL_S, return_when=FIRST_EXCEPTION
+                )
+                for future in done:
+                    future.result()        # the first shard error raises here
+                if pending and cancel_check is not None:
+                    cancel_check()
+            for k, future in futures.items():
+                outs[k] = future.result()
+        # Gathered in plan order: the deterministic reduction, independent
+        # of where each shard ran and when it finished.
+        return [outs[k] for k in range(n_shards)]
+
+    def _exec_shard(
+        self,
+        k: int,
+        setup: Optional[EnsembleSetup],
+        cancel_check: Optional[Callable[[], None]] = None,
+    ) -> Tuple[List[MinimizationResult], ShardExecution]:
+        shard = self.plan().shards[k]
+        wall_start = time.perf_counter()
+        # The shard evaluates in memory-budgeted batches, like the
+        # single-device batched path; per-pose independence makes the
+        # chunking numerically invisible.
+        limit = self.batch_size or shard.size
+        results: List[MinimizationResult] = []
+        for lo in range(shard.start, shard.stop, limit):
+            if lo != shard.start and cancel_check is not None:
+                cancel_check()
+            hi = min(lo + limit, shard.stop)
+            sub = EnsembleEnergyModel(
+                self.molecule,
+                self.coords_stack[lo:hi],
+                movable=None if self.movable is None else self.movable[lo:hi],
+                nonbonded_cutoff=self.nonbonded_cutoff,
+                list_cutoff=self.list_cutoff,
+                precision=self.precision,
+                setup=setup,
+            )
+            results.extend(BatchedMinimizer(sub, self.config).run())
+        execution = ShardExecution(
+            device_index=shard.device_index,
+            start=shard.start,
+            stop=shard.stop,
+            n_poses=shard.size,
+            wall_start_s=wall_start,
+            wall_s=time.perf_counter() - wall_start,
+        )
+        return results, execution
+
+
+#: The minimizer whose shards this worker process runs and their shared
+#: set-up, installed once per worker by :func:`_init_shard_worker`.
+_SHARD_CTX: Optional[Tuple[MultiDeviceMinimizer, Optional[EnsembleSetup]]] = None
+
+
+def _init_shard_worker(
+    minimizer: MultiDeviceMinimizer, setup: Optional[EnsembleSetup]
+) -> None:
+    global _SHARD_CTX
+    _SHARD_CTX = (minimizer, setup)
+
+
+def _shard_task(k: int) -> Tuple[List[MinimizationResult], ShardExecution]:
+    assert _SHARD_CTX is not None
+    minimizer, setup = _SHARD_CTX
+    return minimizer._exec_shard(k, setup)

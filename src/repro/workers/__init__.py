@@ -11,7 +11,10 @@ come back pickled through the executor's result queue; a result is tens
 to a hundred KB, far below the cost of mapping the probe.
 
 The scheduling changes, the values never do — process-streamed results
-are bitwise-identical to the sequential stage loop at fp64.
+are bitwise-identical to the sequential stage loop at fp64.  The same
+pool runs the shards of a ``multi-gpu-sim`` minimization
+(:class:`repro.minimize.multidevice.MultiDeviceMinimizer`) that the
+calling thread does not run itself.
 :func:`shm_bytes_in_use` is the leak check: the bytes of ``repro-``
 prefixed POSIX shared-memory segments on the host, which nothing here
 creates.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.minimize import EnergyModel, EnsembleEnergyModel
+from repro.minimize.ensemble import EnsembleSetup
 from repro.structure import synthetic_complex
 from repro.structure.builder import pocket_movable_mask
 
@@ -214,6 +215,45 @@ class TestSharedCoreLists:
             EnsembleEnergyModel(
                 complex_mol, stack, core_atoms=complex_mol.n_atoms + 1
             )
+
+
+class TestSharedSetup:
+    """Models of pose subsets share one :class:`EnsembleSetup`: no list or
+    parameter is built twice, and no bit changes."""
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_subset_with_shared_setup_matches_own_setup(
+        self, complex_mol, ensemble, precision
+    ):
+        stack, masks = ensemble
+        setup = EnsembleSetup.build(complex_mol, stack[0], precision)
+        shared = EnsembleEnergyModel(
+            complex_mol, stack[2:], movable=masks[2:], precision=precision,
+            setup=setup,
+        )
+        own = EnsembleEnergyModel(
+            complex_mol, stack[2:], movable=masks[2:], precision=precision
+        )
+        a, b = shared.evaluate(stack[2:]), own.evaluate(stack[2:])
+        assert np.array_equal(a.totals, b.totals)
+        assert np.array_equal(a.forces, b.forces)
+        assert np.array_equal(a.per_atom_nonbonded, b.per_atom_nonbonded)
+        # The shared core served every pose; the model built none itself.
+        assert shared.shared_core_builds == 0
+        assert shared.delta_list_builds == N_POSES - 2
+        assert shared.full_list_builds == 0
+        for k in range(N_POSES - 2):
+            i, j = shared.pair_arrays(k)
+            ri, rj = own.pair_arrays(k)
+            assert np.array_equal(i, ri) and np.array_equal(j, rj)
+
+    def test_mismatched_core_rejected(self, complex_mol, ensemble):
+        stack, _ = ensemble
+        setup = EnsembleSetup.build(complex_mol, stack[0])
+        with pytest.raises(ValueError):
+            EnsembleEnergyModel(complex_mol, stack, core_atoms=0, setup=setup)
+        with pytest.raises(ValueError):
+            EnsembleEnergyModel(complex_mol, stack, list_cutoff=9.0, setup=setup)
 
 
 class TestEmptyEnsemble:

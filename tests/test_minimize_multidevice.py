@@ -266,6 +266,75 @@ class TestCancellation:
         assert seen == [(0, 3), (1, 3), (2, 3)]
 
 
+class TestShardProcesses:
+    def test_odd_shards_are_process_pool_tasks(self, complex_mol, ensemble, config):
+        """Two lanes: shards 0 and 2 run in the calling thread, shards 1
+        and 3 are tasks of a worker process."""
+        from repro.workers import worker_stats
+
+        stack, masks = ensemble
+        before = worker_stats()
+        MultiDeviceMinimizer(
+            complex_mol, stack, movable=masks, config=config,
+            devices=4, shard_workers=2,
+        ).run()
+        after = worker_stats()
+        assert after["stage_tasks_total"] - before["stage_tasks_total"] == 2
+        assert after["pools"] == before["pools"]      # the run closed its pool
+
+    def test_cancel_stops_the_pool(self, complex_mol, ensemble, config):
+        """Shard 1 is dispatched to a worker; a cancel raised as shard 0
+        starts in the calling thread terminates the worker: the run raises
+        and leaves no pool behind."""
+        from repro.workers import worker_stats
+
+        stack, masks = ensemble
+        pools_before = worker_stats()["pools"]
+        calls = {"n": 0}
+
+        def cancel_check():
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise JobCancelled("stop")
+
+        with pytest.raises(JobCancelled):
+            MultiDeviceMinimizer(
+                complex_mol, stack, movable=masks, config=config,
+                devices=3, shard_workers=2,
+            ).run(cancel_check=cancel_check)
+        assert calls["n"] == 2
+        assert worker_stats()["pools"] == pools_before
+
+    def test_daemonic_caller_runs_shards_sequentially(
+        self, complex_mol, ensemble, config, monkeypatch
+    ):
+        """A daemonic process (a process-streaming worker) may not start
+        processes, so its shards run in the calling thread, same bits."""
+        import repro.minimize.multidevice as multidevice
+
+        stack, masks = ensemble
+        pooled = MultiDeviceMinimizer(
+            complex_mol, stack, movable=masks, config=config,
+            devices=2, shard_workers=2,
+        ).run()
+
+        class _Daemon:
+            daemon = True
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a daemonic caller started a process pool")
+
+        monkeypatch.setattr(multidevice.mp, "current_process", lambda: _Daemon())
+        monkeypatch.setattr(multidevice, "ProcessWorkerPool", no_pool)
+        inline = MultiDeviceMinimizer(
+            complex_mol, stack, movable=masks, config=config,
+            devices=2, shard_workers=2,
+        ).run()
+        for a, b in zip(pooled.results, inline.results):
+            assert a.energy == b.energy
+            np.testing.assert_array_equal(a.coords, b.coords)
+
+
 def _tiny_config(**overrides):
     base = dict(
         probe_names=("ethanol",),
