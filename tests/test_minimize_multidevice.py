@@ -136,9 +136,9 @@ class TestBitwiseEquivalence:
     def test_one_usable_cpu_runs_shards_in_calling_thread(
         self, complex_mol, ensemble, config, monkeypatch
     ):
-        """The default shard-thread count follows the CPUs this process may
-        run on (affinity: ``taskset``, a streaming worker), not the host's
-        core count, and the sequential fallback keeps every bit."""
+        """The default lane count follows the CPUs this process may run on
+        (affinity: ``taskset``, a streaming worker), not the host's core
+        count, and the sequential fallback keeps every bit."""
         import threading
 
         import repro.minimize.multidevice as multidevice
