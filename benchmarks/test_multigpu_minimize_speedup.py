@@ -11,10 +11,10 @@ two ways, mirroring the pipeline-overlap gate pattern:
   Deterministic on any host — the repo's cost-model idiom — and the gate.
 * **wall clock >= 1.3x** — a real 16-pose ensemble through
   ``MinimizationEngine(backend="multi-gpu-sim")`` at 4 devices
-  (thread-parallel shards) vs 1, asserted only where shard threads can
-  actually run in parallel (>= 2 usable CPUs; CI runners have them,
-  single-core containers skip the wall-clock half, never the predicted
-  half).
+  (shards on the calling thread and a worker process) vs 1, asserted
+  only where shard lanes can actually run in parallel (>= 2 usable
+  CPUs; CI runners have them, single-core containers skip the
+  wall-clock half, never the predicted half).
 
 Plus the invariant that makes sharding deployable at all: per-pose
 results are bitwise-identical across device counts (the fp64 equivalence
@@ -43,7 +43,7 @@ MIN_PREDICTED_SHARD_SPEEDUP = 1.5
 #: predicted at 4 devices).
 PREV_MIN_PREDICTED_SHARD_SPEEDUP = 1.5
 
-#: Wall-clock floor on hosts with real parallelism (thread-backed shards;
+#: Wall-clock floor on hosts with real parallelism (process-backed lanes;
 #: the same floor the deleted thread stage-pipeline gate used).
 MIN_WALL_SPEEDUP = 1.3
 PREV_MIN_WALL_SPEEDUP = 1.3

@@ -10,14 +10,6 @@ Standard CHARMM functional forms with analytic gradients:
 Bonded evaluation "is a small fraction of the total runtime and is left to
 be executed on the host" (Sec. II.B); these vectorized routines are the host
 path in both the serial and GPU pipelines.
-
-The term arrays are small (hundreds of rows per conformation), so NumPy's
-per-call overhead, not arithmetic, sets their cost.  Row gathers use
-``take``, and the length-3 dot products, norms and cross products are
-written out per component (:func:`_rowdot`, :func:`_cross`): the same
-products and sums in the same order as ``(a*b).sum(axis=1)``,
-``np.linalg.norm(a, axis=1)`` and ``np.cross(a, b)``, so the same bits,
-without those functions' axis handling.
 """
 
 from __future__ import annotations
@@ -29,28 +21,6 @@ from repro.minimize.accumulate import as_float_array, scatter_add_rows, scatter_
 __all__ = ["bond_energy", "angle_energy", "dihedral_energy", "improper_energy"]
 
 _EPS = 1e-12
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of (D, 3) arrays: ``(a*b).sum(axis=1)``'s bits.
-
-    The same left-to-right sum; NumPy's reduction starts from +0.0, so the
-    trailing ``+ 0.0`` turns an all-negative-zero row's -0.0 into +0.0 as
-    it does (a degenerate dihedral's ``atan2`` sees the sign).
-    """
-    p = a * b
-    return p[:, 0] + p[:, 1] + p[:, 2] + 0.0
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (D, 3) arrays: ``np.cross(a, b)``'s bits."""
-    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
-    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
-    out = np.empty(a.shape, dtype=np.result_type(a, b))
-    out[:, 0] = a1 * b2 - a2 * b1
-    out[:, 1] = a2 * b0 - a0 * b2
-    out[:, 2] = a0 * b1 - a1 * b0
-    return out
 
 
 def bond_energy(
@@ -74,8 +44,8 @@ def bond_energy(
     if len(bonds) == 0:
         return (0.0, grad, np.zeros(0)) if per_term else (0.0, grad)
     i, j = bonds[:, 0], bonds[:, 1]
-    d = coords.take(i, axis=0) - coords.take(j, axis=0)
-    r = np.sqrt(_rowdot(d, d))
+    d = coords[i] - coords[j]
+    r = np.linalg.norm(d, axis=1)
     dr = r - r0
     e_terms = kb * dr**2
     energy = float(e_terms.sum())
@@ -106,14 +76,13 @@ def angle_energy(
     if len(angles) == 0:
         return (0.0, grad, np.zeros(0)) if per_term else (0.0, grad)
     i, j, k = angles[:, 0], angles[:, 1], angles[:, 2]
-    xj = coords.take(j, axis=0)
-    rij = coords.take(i, axis=0) - xj
-    rkj = coords.take(k, axis=0) - xj
-    nij = np.sqrt(_rowdot(rij, rij))
-    nkj = np.sqrt(_rowdot(rkj, rkj))
+    rij = coords[i] - coords[j]
+    rkj = coords[k] - coords[j]
+    nij = np.linalg.norm(rij, axis=1)
+    nkj = np.linalg.norm(rkj, axis=1)
     nij = np.where(nij > _EPS, nij, _EPS)
     nkj = np.where(nkj > _EPS, nkj, _EPS)
-    cos_t = _rowdot(rij, rkj) / (nij * nkj)
+    cos_t = (rij * rkj).sum(axis=1) / (nij * nkj)
     cos_t = np.clip(cos_t, -1.0, 1.0)
     theta = np.arccos(cos_t)
     dt = theta - theta0
@@ -162,32 +131,32 @@ def _dihedral_angle_and_grads(
     with s = (b1 . b2)/|b2|^2 and t = (b3 . b2)/|b2|^2; translation
     invariance (the four gradients sum to zero) holds by construction.
     """
-    p0, p1, p2, p3 = (coords.take(quads[:, k], axis=0) for k in range(4))
+    p0, p1, p2, p3 = (coords[quads[:, k]] for k in range(4))
     b1 = p1 - p0
     b2 = p2 - p1
     b3 = p3 - p2
 
-    n1 = _cross(b1, b2)
-    n2 = _cross(b2, b3)
-    nb2 = np.sqrt(_rowdot(b2, b2))
+    n1 = np.cross(b1, b2)
+    n2 = np.cross(b2, b3)
+    nb2 = np.linalg.norm(b2, axis=1)
     nb2 = np.where(nb2 > _EPS, nb2, _EPS)
     b2_hat = b2 / nb2[:, None]
 
-    x = _rowdot(n1, n2)
-    y = _rowdot(_cross(n1, n2), b2_hat)
+    x = (n1 * n2).sum(axis=1)
+    y = (np.cross(n1, n2) * b2_hat).sum(axis=1)
     phi = np.arctan2(y, x)
     if not with_grads:
         return phi, None
 
-    sq_n1 = _rowdot(n1, n1)
-    sq_n2 = _rowdot(n2, n2)
+    sq_n1 = (n1 * n1).sum(axis=1)
+    sq_n2 = (n2 * n2).sum(axis=1)
     sq_n1 = np.where(sq_n1 > _EPS, sq_n1, _EPS)
     sq_n2 = np.where(sq_n2 > _EPS, sq_n2, _EPS)
 
     dphi_d0 = -(nb2 / sq_n1)[:, None] * n1
     dphi_d3 = (nb2 / sq_n2)[:, None] * n2
-    s = (_rowdot(b1, b2) / (nb2**2))[:, None]
-    t = (_rowdot(b3, b2) / (nb2**2))[:, None]
+    s = ((b1 * b2).sum(axis=1) / (nb2**2))[:, None]
+    t = ((b3 * b2).sum(axis=1) / (nb2**2))[:, None]
     dphi_d1 = -(1.0 + s) * dphi_d0 + t * dphi_d3
     dphi_d2 = s * dphi_d0 - (1.0 + t) * dphi_d3
     return phi, (dphi_d0, dphi_d1, dphi_d2, dphi_d3)

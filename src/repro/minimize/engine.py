@@ -110,7 +110,8 @@ class MinimizationEngine:
         Concurrent shard executions for ``multi-gpu-sim``: the calling
         thread plus ``shard_workers - 1`` worker processes (``1`` forces
         the sequential shard loop; default one per shard, capped by the
-        CPUs this process may run on).
+        CPUs this process may run on).  A daemonic or multi-threaded
+        caller runs every shard in its own thread.
     """
 
     def __init__(

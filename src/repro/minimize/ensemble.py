@@ -24,15 +24,16 @@ evaluation lays the evaluated poses' tables end to end (cached for the
 full pose set until any list changes), so a pose-id subset never reads a
 stale table.
 
-What depends on the complex and not on a pose — bonded exclusions,
-resolved bonded parameters and the shared core's neighbor list — is one
-:class:`EnsembleSetup`.  A model builds its own; pose subsets of one
-ensemble (the shards of a multi-device run) build it once and share it.
+Bonded exclusions, bonded parameters and the receptor's core neighbor
+list depend on the complex, not on a pose.  A model builds them on first
+use; the models of a multi-device run's shards are pose subsets of one
+ensemble model and read its copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,56 +61,7 @@ from repro.minimize.neighborlist import (
 from repro.minimize.vdw import vdw_from_pairs
 from repro.structure.molecule import Molecule
 
-__all__ = ["EnsembleEnergyReport", "EnsembleEnergyModel", "EnsembleSetup"]
-
-
-def _default_core_atoms(molecule: Molecule) -> int:
-    """Receptor block size of an FTMap complex (0 without probe metadata)."""
-    n_probe = molecule.meta.get("n_probe_atoms")
-    return molecule.n_atoms - int(n_probe) if n_probe else 0
-
-
-@dataclass(frozen=True)
-class EnsembleSetup:
-    """The per-complex set-up every pose of an ensemble shares.
-
-    Bonded exclusions, resolved bonded parameters, and the core-core half
-    list (:class:`SharedNeighborCore`, ``None`` when the complex has no
-    shared core block).  None of it depends on a pose, so models of
-    different pose subsets of one ensemble may share one instance.
-    """
-
-    exclusions: FrozenSet[Tuple[int, int]]
-    bonded_params: Dict[str, np.ndarray]
-    shared_core: Optional[SharedNeighborCore]
-
-    @classmethod
-    def build(
-        cls,
-        molecule: Molecule,
-        coords: np.ndarray,
-        precision: str = "double",
-        list_cutoff: float = NEIGHBOR_LIST_CUTOFF,
-        core_atoms: int | None = None,
-    ) -> "EnsembleSetup":
-        """Set-up for ``molecule``; the shared core is ``coords``' core block.
-
-        ``precision`` and ``core_atoms`` as in :class:`EnsembleEnergyModel`:
-        the core is taken from ``coords`` rounded to the models' precision,
-        which is what their poses compare it against.  A pose whose core
-        block differs still gets its exact list (the full-build fallback).
-        """
-        exclusions = bonded_exclusions(molecule.topology)
-        if core_atoms is None:
-            core_atoms = _default_core_atoms(molecule)
-        core = None
-        if 0 < core_atoms < molecule.n_atoms:
-            dtype = np.float32 if precision == "single" else np.float64
-            # Neighbor lists are always built in float64 (as in
-            # ``_pose_neighbor_list``), from the precision-rounded pose.
-            c = np.asarray(coords, dtype=dtype).astype(np.float64)  # repro: ignore[REPRO-DTYPE]
-            core = SharedNeighborCore(c[:core_atoms], list_cutoff, exclusions)
-        return cls(exclusions, resolve_bonded_params(molecule), core)
+__all__ = ["EnsembleEnergyReport", "EnsembleEnergyModel"]
 
 
 @dataclass
@@ -171,10 +123,6 @@ class EnsembleEnergyModel:
         block differs from the shared core (receptor moved) silently falls
         back to a full per-pose build, so the optimization never changes
         results.  Pass ``0`` to disable sharing.
-    setup:
-        Optional :class:`EnsembleSetup` of the same molecule, reused
-        instead of building one (its shared core must have been built
-        with ``list_cutoff`` and ``core_atoms``).
     """
 
     def __init__(
@@ -186,7 +134,6 @@ class EnsembleEnergyModel:
         list_cutoff: float = NEIGHBOR_LIST_CUTOFF,
         precision: str = "double",
         core_atoms: int | None = None,
-        setup: EnsembleSetup | None = None,
     ) -> None:
         if precision not in ("single", "double"):
             raise ValueError(f"unknown precision {precision!r}")
@@ -225,30 +172,67 @@ class EnsembleEnergyModel:
         self.pair_table_builds = 0
         self.pose_list_rebuilds = np.zeros(self.n_poses, dtype=int)
         if core_atoms is None:
-            core_atoms = _default_core_atoms(molecule)
+            n_probe = molecule.meta.get("n_probe_atoms")
+            core_atoms = n - int(n_probe) if n_probe else 0
         if not 0 <= core_atoms <= n:
             raise ValueError(f"core_atoms must be in [0, {n}], got {core_atoms}")
         self.core_atoms = int(core_atoms)
         self._shared_core: Optional[SharedNeighborCore] = None
-        if setup is None:
-            self.exclusions = bonded_exclusions(molecule.topology)
-            self._bonded_params = resolve_bonded_params(molecule)
-        else:
-            core = setup.shared_core
-            if core is not None and (
-                core.n_core != self.core_atoms or core.cutoff != float(list_cutoff)
-            ):
-                raise ValueError(
-                    "setup's shared core does not match core_atoms / list_cutoff"
-                )
-            self.exclusions = setup.exclusions
-            self._bonded_params = setup.bonded_params
-            self._shared_core = core
         # Build-path counters, for tests and perf accounting: every pose
         # list build is exactly one delta build or one full build.
         self.shared_core_builds = 0   # core-core list constructions (per ensemble)
         self.delta_list_builds = 0    # cheap probe-delta pose builds
         self.full_list_builds = 0     # full per-pose fallback builds
+
+    # -- per-complex set-up (built on first use, shared by pose subsets) --------------
+
+    @cached_property
+    def exclusions(self) -> FrozenSet[Tuple[int, int]]:
+        return bonded_exclusions(self.molecule.topology)
+
+    @cached_property
+    def _bonded_params(self) -> Dict[str, np.ndarray]:
+        return resolve_bonded_params(self.molecule)
+
+    def _core(self, coords: np.ndarray) -> SharedNeighborCore:
+        if self._shared_core is None:
+            self._shared_core = SharedNeighborCore(
+                coords[: self.core_atoms], self.list_cutoff, self.exclusions
+            )
+            self.shared_core_builds += 1
+        return self._shared_core
+
+    def _complex_setup(
+        self,
+    ) -> Tuple[
+        FrozenSet[Tuple[int, int]], Dict[str, np.ndarray], Optional[SharedNeighborCore]
+    ]:
+        """Exclusions, bonded parameters and the shared core, built now.
+
+        The core is captured from pose 0 if no pose list was built yet.
+        """
+        core = None
+        if 0 < self.core_atoms < self.n_atoms and self.n_poses:
+            core = self._core(np.asarray(self.coords_stack[0], dtype=np.float64))
+        return self.exclusions, self._bonded_params, core
+
+    def _pose_subset(self, lo: int, hi: int) -> "EnsembleEnergyModel":
+        """A model of poses ``lo:hi`` that shares this model's set-up.
+
+        The shards of a multi-device run are such subsets, so the
+        per-complex set-up is built once for all of them.
+        """
+        sub = EnsembleEnergyModel(
+            self.molecule,
+            self.coords_stack[lo:hi],
+            movable=None if self.movable is None else self.movable[lo:hi],
+            nonbonded_cutoff=self.nonbonded_cutoff,
+            list_cutoff=self.list_cutoff,
+            precision=self.precision,
+            core_atoms=self.core_atoms,
+        )
+        sub.exclusions, sub._bonded_params, sub._shared_core = self._complex_setup()
+        return sub
 
     # -- masks -------------------------------------------------------------------
 
@@ -282,14 +266,10 @@ class EnsembleEnergyModel:
         """
         c = np.asarray(coords, dtype=np.float64)
         if 0 < self.core_atoms < self.n_atoms:
-            if self._shared_core is None:
-                self._shared_core = SharedNeighborCore(
-                    c[: self.core_atoms], self.list_cutoff, self.exclusions
-                )
-                self.shared_core_builds += 1
-            if self._shared_core.core_matches(c):
+            core = self._core(c)
+            if core.core_matches(c):
                 self.delta_list_builds += 1
-                return self._shared_core.pose_list(c)
+                return core.pose_list(c)
         self.full_list_builds += 1
         return build_neighbor_list(c, self.list_cutoff, self.exclusions)
 

@@ -25,14 +25,16 @@ this process may run on: the calling thread is lane 0 and every other
 lane is a worker process (:class:`~repro.workers.pool.ProcessWorkerPool`);
 shard ``k`` runs on lane ``k % lanes``.  Each worker is a separate
 process, like a separate device with its own memory: no interpreter lock
-couples the lanes, so a shard's GIL-held work (the gradient scatters, the
-bonded terms' small ops, per-shard set-up) runs in parallel with the
-others.  Workers fork, so the ensemble and the shards' shared set-up
-reach them without a copy, and only each shard's results travel back;
-the calling thread computing too saves one fork, whose cost grows with
-the caller's memory.  ``shard_workers=1``, a single usable CPU, or a
-daemonic caller (a process-streaming worker may not start processes)
-runs every shard in the calling thread.
+couples the lanes, so a shard's GIL-held work (the gradient scatters and
+gathers, the bonded terms' small ops, per-shard set-up) runs in parallel
+with the others; on thread lanes it would not.  Workers fork, so the
+ensemble reaches them without a copy, and only each shard's results
+travel back; the calling thread computing too saves one fork, whose cost
+grows with the caller's memory.  ``shard_workers=1``, a single usable
+CPU, a daemonic caller (a process-streaming worker may not start
+processes) or a process with more than one live thread (a fork could
+copy a lock another thread holds; a service's job threads are such
+callers) runs every shard in the calling thread.
 
 Cancellation is cooperative.  The calling thread checks as each of its
 shards starts and at every batch-chunk boundary within one, so a shard
@@ -45,6 +47,7 @@ shards never start and running ones stop at once.
 from __future__ import annotations
 
 import multiprocessing as mp
+import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, wait
 from contextlib import nullcontext
@@ -56,7 +59,7 @@ import numpy as np
 from repro.constants import NEIGHBOR_LIST_CUTOFF, VDW_CUTOFF
 from repro.exec.plan import ShardPlan
 from repro.minimize.batched import BatchedMinimizer
-from repro.minimize.ensemble import EnsembleEnergyModel, EnsembleSetup
+from repro.minimize.ensemble import EnsembleEnergyModel
 from repro.minimize.minimizer import MinimizationResult, MinimizerConfig
 from repro.structure.molecule import Molecule
 from repro.util.parallel import usable_cpus
@@ -213,20 +216,24 @@ class MultiDeviceMinimizer:
         progress reporting.
         """
         plan = self.plan()
-        n_shards = len(plan.shards)
-        # Exclusions, bonded parameters and the receptor's neighbor list
-        # are built once for every shard (forked workers inherit them).
-        setup = (
-            EnsembleSetup.build(
-                self.molecule, self.coords_stack[0], self.precision, self.list_cutoff
-            )
-            if self.n_poses
-            else None
+        lanes = min(self.shard_workers or usable_cpus(), len(plan.shards))
+        if mp.current_process().daemon or threading.active_count() > 1:
+            # Fork only from a single-threaded process: a daemonic one (a
+            # process-streaming worker) may start no processes, and a fork
+            # while other threads run can copy a lock one of them holds.
+            lanes = 1
+        # Every shard model is a pose subset of this one, which builds the
+        # per-complex set-up once (forked workers inherit it).
+        ensemble = EnsembleEnergyModel(
+            self.molecule,
+            self.coords_stack,
+            movable=self.movable,
+            nonbonded_cutoff=self.nonbonded_cutoff,
+            list_cutoff=self.list_cutoff,
+            precision=self.precision,
         )
-        lanes = min(self.shard_workers or usable_cpus(), n_shards)
-        if mp.current_process().daemon:
-            lanes = 1                   # a daemonic process starts none
-        outs = self._run_lanes(max(lanes, 1), setup, cancel_check, on_shard)
+        ensemble._complex_setup()
+        outs = self._run_lanes(max(lanes, 1), ensemble, cancel_check, on_shard)
 
         results: List[MinimizationResult] = []
         executions: List[ShardExecution] = []
@@ -243,7 +250,7 @@ class MultiDeviceMinimizer:
     def _run_lanes(
         self,
         lanes: int,
-        setup: Optional[EnsembleSetup],
+        ensemble: EnsembleEnergyModel,
         cancel_check: Optional[Callable[[], None]],
         on_shard: Optional[Callable[[int, int], None]],
     ) -> List[Tuple[List[MinimizationResult], ShardExecution]]:
@@ -253,7 +260,7 @@ class MultiDeviceMinimizer:
             ProcessWorkerPool(
                 lanes - 1,
                 initializer=_init_shard_worker,
-                initargs=(self, setup),
+                initargs=(self, ensemble),
                 name="minimize-shard",
             )
             if lanes > 1
@@ -275,7 +282,7 @@ class MultiDeviceMinimizer:
                     cancel_check()
                 if on_shard is not None:
                     on_shard(k, n_shards)
-                outs[k] = self._exec_shard(k, setup, cancel_check)
+                outs[k] = self._exec_shard(k, ensemble, cancel_check)
             pending = set(futures.values())
             while pending:
                 done, pending = wait(
@@ -294,7 +301,7 @@ class MultiDeviceMinimizer:
     def _exec_shard(
         self,
         k: int,
-        setup: Optional[EnsembleSetup],
+        ensemble: EnsembleEnergyModel,
         cancel_check: Optional[Callable[[], None]] = None,
     ) -> Tuple[List[MinimizationResult], ShardExecution]:
         shard = self.plan().shards[k]
@@ -308,15 +315,7 @@ class MultiDeviceMinimizer:
             if lo != shard.start and cancel_check is not None:
                 cancel_check()
             hi = min(lo + limit, shard.stop)
-            sub = EnsembleEnergyModel(
-                self.molecule,
-                self.coords_stack[lo:hi],
-                movable=None if self.movable is None else self.movable[lo:hi],
-                nonbonded_cutoff=self.nonbonded_cutoff,
-                list_cutoff=self.list_cutoff,
-                precision=self.precision,
-                setup=setup,
-            )
+            sub = ensemble._pose_subset(lo, hi)
             results.extend(BatchedMinimizer(sub, self.config).run())
         execution = ShardExecution(
             device_index=shard.device_index,
@@ -329,19 +328,20 @@ class MultiDeviceMinimizer:
         return results, execution
 
 
-#: The minimizer whose shards this worker process runs and their shared
-#: set-up, installed once per worker by :func:`_init_shard_worker`.
-_SHARD_CTX: Optional[Tuple[MultiDeviceMinimizer, Optional[EnsembleSetup]]] = None
+#: The minimizer whose shards this worker process runs and the ensemble
+#: model its shard models derive from, installed once per worker by
+#: :func:`_init_shard_worker`.
+_SHARD_CTX: Optional[Tuple[MultiDeviceMinimizer, EnsembleEnergyModel]] = None
 
 
 def _init_shard_worker(
-    minimizer: MultiDeviceMinimizer, setup: Optional[EnsembleSetup]
+    minimizer: MultiDeviceMinimizer, ensemble: EnsembleEnergyModel
 ) -> None:
     global _SHARD_CTX
-    _SHARD_CTX = (minimizer, setup)
+    _SHARD_CTX = (minimizer, ensemble)
 
 
 def _shard_task(k: int) -> Tuple[List[MinimizationResult], ShardExecution]:
     assert _SHARD_CTX is not None
-    minimizer, setup = _SHARD_CTX
-    return minimizer._exec_shard(k, setup)
+    minimizer, ensemble = _SHARD_CTX
+    return minimizer._exec_shard(k, ensemble)

@@ -155,51 +155,3 @@ class TestImproper:
                     - improper_energy(cm, quads, ki, psi0)[0]
                 ) / (2 * h)
                 assert g[a, d] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-
-
-class TestRowHelpers:
-    """The unrolled row helpers give exactly the bits of the NumPy functions
-    they replace, signed zeros included."""
-
-    @staticmethod
-    def _bits(x):
-        return x.view(np.uint64 if x.dtype == np.float64 else np.uint32)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_rowdot_and_cross_match_numpy(self, dtype):
-        from repro.minimize.bonded import _cross, _rowdot
-
-        local = np.random.default_rng(17)
-        a = local.normal(size=(5000, 3)).astype(dtype)
-        b = local.normal(size=(5000, 3)).astype(dtype)
-        # Zero-heavy rows: all-zero products must sum to +0.0 like NumPy.
-        zeros = local.random((5000, 3)) < 0.4
-        a[zeros] = np.where(local.random(zeros.sum()) < 0.5, -0.0, 0.0)
-        np.testing.assert_array_equal(
-            self._bits(_rowdot(a, b)), self._bits((a * b).sum(axis=1))
-        )
-        np.testing.assert_array_equal(
-            self._bits(_cross(a, b)), self._bits(np.cross(a, b))
-        )
-        assert _rowdot(a, b).dtype == _cross(a, b).dtype == dtype
-
-    def test_degenerate_dihedral_matches_numpy_formula(self):
-        """A quad that repeats an atom has a zero plane normal; its angle
-        is atan2 of signed zeros, so the sign of every zero matters."""
-        from repro.minimize.bonded import _dihedral_angle_and_grads
-
-        local = np.random.default_rng(23)
-        coords = local.normal(size=(50, 3)) * 10.0
-        quads = local.integers(0, 50, (400, 4))
-        quads[:50, 2] = quads[:50, 0]                  # p2 == p0
-        got, _ = _dihedral_angle_and_grads(coords, quads)
-
-        p0, p1, p2, p3 = (coords[quads[:, k]] for k in range(4))
-        b1, b2, b3 = p1 - p0, p2 - p1, p3 - p2
-        n1, n2 = np.cross(b1, b2), np.cross(b2, b3)
-        nb2 = np.linalg.norm(b2, axis=1)
-        b2_hat = b2 / np.where(nb2 > 1e-12, nb2, 1e-12)[:, None]
-        ref = np.arctan2(
-            (np.cross(n1, n2) * b2_hat).sum(axis=1), (n1 * n2).sum(axis=1)
-        )
-        np.testing.assert_array_equal(got, ref)

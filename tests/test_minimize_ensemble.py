@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.minimize import EnergyModel, EnsembleEnergyModel
-from repro.minimize.ensemble import EnsembleSetup
 from repro.structure import synthetic_complex
 from repro.structure.builder import pocket_movable_mask
 
@@ -217,43 +216,34 @@ class TestSharedCoreLists:
             )
 
 
-class TestSharedSetup:
-    """Models of pose subsets share one :class:`EnsembleSetup`: no list or
-    parameter is built twice, and no bit changes."""
+class TestPoseSubsets:
+    """A pose subset (a multi-device shard) reads its ensemble's set-up:
+    no list or parameter is built twice, and no bit changes."""
 
     @pytest.mark.parametrize("precision", ["single", "double"])
-    def test_subset_with_shared_setup_matches_own_setup(
-        self, complex_mol, ensemble, precision
-    ):
+    def test_subset_matches_own_model(self, complex_mol, ensemble, precision):
         stack, masks = ensemble
-        setup = EnsembleSetup.build(complex_mol, stack[0], precision)
-        shared = EnsembleEnergyModel(
-            complex_mol, stack[2:], movable=masks[2:], precision=precision,
-            setup=setup,
+        full = EnsembleEnergyModel(
+            complex_mol, stack, movable=masks, precision=precision
         )
+        sub = full._pose_subset(2, N_POSES)
         own = EnsembleEnergyModel(
             complex_mol, stack[2:], movable=masks[2:], precision=precision
         )
-        a, b = shared.evaluate(stack[2:]), own.evaluate(stack[2:])
+        a, b = sub.evaluate(stack[2:]), own.evaluate(stack[2:])
         assert np.array_equal(a.totals, b.totals)
         assert np.array_equal(a.forces, b.forces)
         assert np.array_equal(a.per_atom_nonbonded, b.per_atom_nonbonded)
-        # The shared core served every pose; the model built none itself.
-        assert shared.shared_core_builds == 0
-        assert shared.delta_list_builds == N_POSES - 2
-        assert shared.full_list_builds == 0
+        # The ensemble built the core once; the subset built none itself.
+        assert full.shared_core_builds == 1
+        assert sub.shared_core_builds == 0
+        assert sub.delta_list_builds == N_POSES - 2
+        assert sub.full_list_builds == 0
+        assert sub.exclusions is full.exclusions
         for k in range(N_POSES - 2):
-            i, j = shared.pair_arrays(k)
+            i, j = sub.pair_arrays(k)
             ri, rj = own.pair_arrays(k)
             assert np.array_equal(i, ri) and np.array_equal(j, rj)
-
-    def test_mismatched_core_rejected(self, complex_mol, ensemble):
-        stack, _ = ensemble
-        setup = EnsembleSetup.build(complex_mol, stack[0])
-        with pytest.raises(ValueError):
-            EnsembleEnergyModel(complex_mol, stack, core_atoms=0, setup=setup)
-        with pytest.raises(ValueError):
-            EnsembleEnergyModel(complex_mol, stack, list_cutoff=9.0, setup=setup)
 
 
 class TestEmptyEnsemble:

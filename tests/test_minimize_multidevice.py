@@ -334,6 +334,40 @@ class TestShardProcesses:
             assert a.energy == b.energy
             np.testing.assert_array_equal(a.coords, b.coords)
 
+    def test_multithreaded_caller_forks_no_workers(
+        self, complex_mol, ensemble, config, monkeypatch
+    ):
+        """A run started while another thread is alive (a service job
+        thread) runs every shard in its own thread, same bits."""
+        import threading
+
+        import repro.minimize.multidevice as multidevice
+
+        stack, masks = ensemble
+        pooled = MultiDeviceMinimizer(
+            complex_mol, stack, movable=masks, config=config,
+            devices=2, shard_workers=2,
+        ).run()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a multi-threaded caller started a process pool")
+
+        monkeypatch.setattr(multidevice, "ProcessWorkerPool", no_pool)
+        out = {}
+
+        def job():
+            out["run"] = MultiDeviceMinimizer(
+                complex_mol, stack, movable=masks, config=config,
+                devices=2, shard_workers=2,
+            ).run()
+
+        worker = threading.Thread(target=job)
+        worker.start()
+        worker.join()
+        for a, b in zip(pooled.results, out["run"].results):
+            assert a.energy == b.energy
+            np.testing.assert_array_equal(a.coords, b.coords)
+
 
 def _tiny_config(**overrides):
     base = dict(
