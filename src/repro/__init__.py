@@ -93,7 +93,7 @@ from repro.api import (
 )
 from repro.obs import MetricsRegistry, Tracer, metrics_registry
 
-__version__ = "6.1.0"
+__version__ = "6.2.0"
 
 __all__ = [
     "Molecule",

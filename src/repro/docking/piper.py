@@ -13,6 +13,19 @@ Per rotation (Sec. II.A / Fig. 2b):
 FTMap runs 500 rotations and retains 4 poses each -> 2000 conformations
 for the minimization phase.
 
+With the direct engine, :meth:`PiperDocker.run` does steps 2-4 as a
+certified fp32 pass: it proposes the whole score grid in fp32 with an
+error bound ε (:meth:`~repro.docking.direct.DirectCorrelationEngine.propose`),
+rescores in fp64 only the translations the fp32 greedy leaves within 2ε
+of its last pick, and reruns the greedy on those
+(:func:`~repro.docking.filtering.certified_top_poses`).  When the
+certificate holds, the picks are those of the fp64 grid, bit for bit;
+when it fails, or ε is not finite, the rotation falls back to the fp64
+:meth:`~repro.docking.direct.DirectCorrelationEngine.correlate` and
+:func:`~repro.docking.filtering.filter_top_poses`.  Each run counts its
+rescored translations and fallbacks in ``repro_dock_rescored_translations_total``
+and ``repro_dock_certify_fallbacks_total`` and on the current span.
+
 :class:`PiperDocker` runs the :class:`~repro.docking.correlation.CorrelationEngine`
 it is handed (direct correlation by default).  Which backend to run, and
 with what rotation batch, is decided in one place:
@@ -22,6 +35,7 @@ with what rotation batch, is decided in one place:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -36,12 +50,14 @@ from repro.constants import (
 )
 from repro.docking.correlation import CorrelationEngine
 from repro.docking.direct import DirectCorrelationEngine
-from repro.docking.filtering import filter_top_poses
+from repro.docking.filtering import certified_top_poses, filter_top_poses
 from repro.geometry.sampling import rotation_set
 from repro.geometry.transforms import RigidTransform, centered
 from repro.grids.energyfunctions import EnergyGrids, protein_grids_cached
 from repro.grids.gridding import GridSpec
 from repro.grids.rotation import ligand_grid_spec, rotate_and_grid_ligand
+from repro.obs.metrics import registry
+from repro.obs.trace import current_span
 from repro.structure.molecule import Molecule
 from repro.util.parallel import chunked
 
@@ -203,6 +219,9 @@ class PiperDocker:
         rotation.  A batch size of 1 reproduces the classic per-rotation
         loop exactly.  ``batch_size`` defaults to the configured one, else
         the engine's :meth:`~repro.docking.correlation.CorrelationEngine.default_batch`.
+        The direct engine instead runs the certified fp32 pass of the
+        module docstring one rotation at a time; its poses are those of
+        the fp64 loop bit for bit.
         """
         indices = list(
             range(len(self.rotations)) if rotation_indices is None else rotation_indices
@@ -214,6 +233,9 @@ class PiperDocker:
             raise ValueError("batch_size must be >= 1")
         cfg = self.config
 
+        engine = self.engine
+        if isinstance(engine, DirectCorrelationEngine) and engine.skip_zero_voxels:
+            return self._run_certified(engine, indices)
         poses: List[DockedPose] = []
         for chunk in chunked(indices, bs):
             grids = [self.grid_rotation(ri) for ri in chunk]
@@ -224,6 +246,39 @@ class PiperDocker:
                 )
                 poses.extend(self._to_docked(ri, f) for f in filtered)
         poses.sort()
+        return poses
+
+    def _run_certified(
+        self, engine: DirectCorrelationEngine, indices: Sequence[int]
+    ) -> List[DockedPose]:
+        """The direct engine's run: fp32 proposal, fp64 rescoring, fallback."""
+        cfg = self.config
+        k, r = cfg.poses_per_rotation, cfg.exclusion_radius
+        rec = self.receptor_grids
+        poses: List[DockedPose] = []
+        rescored = fallbacks = 0
+        for ri in indices:
+            lig = self.grid_rotation(ri)
+            proposal, eps = engine.propose(rec, lig)
+            kept, n = certified_top_poses(
+                proposal, eps, partial(engine.rescore, rec, lig), k, r
+            )
+            rescored += n
+            if kept is None:
+                fallbacks += 1
+                kept = filter_top_poses(engine.correlate(rec, lig), k, r)
+            poses.extend(self._to_docked(ri, f) for f in kept)
+        poses.sort()
+        reg = registry()
+        reg.counter(
+            "repro_dock_rescored_translations_total", ("backend",),
+            help="Translations rescored in fp64 by certified docking.",
+        ).inc(rescored, backend=engine.name)
+        reg.counter(
+            "repro_dock_certify_fallbacks_total", ("backend",),
+            help="Rotations whose fp32 certificate failed and were rescored in full.",
+        ).inc(fallbacks, backend=engine.name)
+        current_span().set_attributes(rescored=rescored, fallbacks=fallbacks)
         return poses
 
     def docked_probe_coords(self, pose: DockedPose) -> np.ndarray:

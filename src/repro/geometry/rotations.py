@@ -164,14 +164,33 @@ def random_rotation_matrix(rng: np.random.Generator) -> np.ndarray:
     return quaternion_to_matrix(q)
 
 
+#: Relative tolerance of the orthogonality test: ``np.allclose``'s default.
+_ORTHO_RTOL = 1e-5
+
+
 def is_rotation_matrix(R: np.ndarray, atol: float = 1e-8) -> bool:
-    """True if ``R`` is orthogonal with determinant +1 within ``atol``."""
+    """True if ``R`` is orthogonal with determinant +1 within ``atol``.
+
+    Orthogonality is ``np.allclose(R @ R.T, I, atol=atol)`` written out:
+    every entry of R·Rᵀ − I within ``atol + 1e-5·|I|``.  The determinant
+    is expanded by cofactors.  Both run on Python floats, where NaN fails
+    every comparison and inf reaches R·Rᵀ's diagonal, so a matrix with a
+    non-finite entry is never a rotation.
+    """
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         return False
-    if not np.allclose(R @ R.T, np.eye(3), atol=atol):
-        return False
-    return bool(abs(np.linalg.det(R) - 1.0) <= atol)
+    rows = R.tolist()
+    for i in range(3):
+        xi, yi, zi = rows[i]
+        for j in range(i, 3):
+            xj, yj, zj = rows[j]
+            eye = 1.0 if i == j else 0.0
+            if not abs(xi * xj + yi * yj + zi * zj - eye) <= atol + _ORTHO_RTOL * eye:
+                return False
+    (a, b, c), (d, e, f), (g, h, k) = rows
+    det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+    return abs(det - 1.0) <= atol
 
 
 def rotation_angle_between(R1: np.ndarray, R2: np.ndarray) -> float:
