@@ -1,8 +1,7 @@
 """Artifact-cache speedup gate (the caching PR's artifact).
 
 The content-addressed cache (:mod:`repro.cache`) exists to make *repeat*
-mappings near-free: receptor energy grids, receptor FFT spectra, whole
-per-probe dock results and per-probe minimized ensembles are reused, so
+mappings near-free: receptor energy grids, whole per-probe dock results and per-probe minimized ensembles are reused, so
 a warm repeat pays only for clustering and consensus.  Two hard
 assertions:
 
@@ -57,7 +56,6 @@ def _workload():
         grid_spacing=1.25,
         minimize_top=2,
         minimizer_iterations=3,
-        engine="fft",
     )
     return protein, config
 

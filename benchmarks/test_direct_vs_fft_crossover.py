@@ -13,7 +13,6 @@ import time
 
 from repro.docking.direct import DirectCorrelationEngine
 from repro.docking.fft import FFTCorrelationEngine
-from repro.docking.selection import select_backend
 from repro.perf.cpumodel import CpuModel
 from repro.perf.tables import ComparisonRow
 
@@ -56,9 +55,3 @@ def test_direct_vs_fft_crossover(
     assert cpu.direct_correlation_s(128, 4, 22) < fft_s
     assert crossover is not None and 6 <= crossover <= 12
 
-    # The selection layer reproduces the crossover: below it the auto
-    # backend is direct, well above it an FFT path wins.
-    below = select_backend(n=128, m=2, channels=22, num_rotations=500)
-    above = select_backend(n=128, m=16, channels=22, num_rotations=500)
-    assert below.backend == "direct"
-    assert above.backend in ("fft", "batched-fft")

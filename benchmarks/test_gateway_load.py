@@ -51,7 +51,6 @@ CONFIG = dict(
     grid_spacing=1.25,
     minimize_top=2,
     minimizer_iterations=3,
-    engine="fft",
 )
 
 

@@ -7,7 +7,7 @@ energy evaluation.  Two real wall-clock ratios on a real FTMap-scale
 ensemble (>= 12 poses of one receptor+probe complex):
 
 * **production config** — the fp32 batched path (the paper's GPU arithmetic,
-  like the docking benchmark's fp32 batched-FFT engine) against the fp64
+  like the fp32 proposal of certified direct docking) against the fp64
   serial per-pose loop, asserted at >= 1.2x,
 * **pure batching (fp64)** — same arithmetic width as serial, isolating
   dispatch amortization; asserted >= 0.85x, the ratio itself reported for

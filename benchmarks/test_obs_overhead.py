@@ -66,7 +66,6 @@ def _workload():
         grid_spacing=1.25,
         minimize_top=2,
         minimizer_iterations=3,
-        engine="fft",
     )
     return protein, config
 

@@ -65,18 +65,27 @@ def _workload():
     Python-level iteration, which threads in one interpreter would
     serialize on while the process pool runs it in parallel for real.
     Stage-balanced so the schedule has overlap to win (a lopsided
-    workload is bounded by its big stage no matter the executor)."""
+    workload is bounded by its big stage no matter the executor).
+
+    The rotation count follows one rule: the smallest multiple of 48
+    rotations whose dock-stage total is within ±20 % of the refine-stage
+    total, provided the sequential total is no larger than that of the
+    earlier workload (48 rotations of per-rotation FFT docking).  Certified
+    direct docking is about 4x cheaper per rotation than that FFT docking
+    was, so 48 rotations left docking at 0.3 of refinement.  On a 2-vCPU
+    host 144 rotations gave a dock/refine ratio of 0.76 and 192 rotations
+    0.85-0.96, with a sequential total of 3.4-4.1 s against 4.3 s for the
+    earlier workload."""
     protein = synthetic_protein(n_residues=60, seed=3)
     config = FTMapConfig(
         probe_names=(
             "ethanol", "acetone", "urea", "acetonitrile", "benzene", "phenol",
         ),
-        num_rotations=48,
+        num_rotations=192,
         receptor_grid=40,
         grid_spacing=1.25,
         minimize_top=3,
         minimizer_iterations=9,
-        engine="fft",
         minimize_engine="serial",
         cache_policy="off",
     )
@@ -114,7 +123,7 @@ def test_process_overlap_speedup(print_comparison):
     reset_cache_registry()
     protein, config = _workload()
 
-    # Warm the process (spectra cache, imports, allocator) so the timed
+    # Warm the process (imports, allocator) so the timed
     # stage measurements see steady-state per-probe costs.
     _measure_stage_times(protein, config)
     stage_times = _measure_stage_times(protein, config)

@@ -59,7 +59,6 @@ def main() -> None:
         grid_spacing=1.4,
         minimize_top=8,
         minimizer_iterations=10,
-        engine="direct",
         minimize_engine="multi-gpu-sim",
         minimize_devices=topology.num_devices,
         cache_policy="memory",

@@ -45,7 +45,6 @@ def main() -> None:
         receptor_grid=32,
         minimize_top=3,
         minimizer_iterations=6,
-        engine="fft",
         tracing=True,  # <- the only switch a traced request needs
     )
     protein = synthetic_protein(n_residues=40, seed=3)

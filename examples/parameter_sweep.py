@@ -6,8 +6,8 @@ under many :class:`FTMapConfig` variants to see how sensitive the
 consensus sites are to clustering radii, minimization depth, rotation
 counts, and so on.  Without caching every variant pays the full pipeline;
 with the content-addressed cache (:mod:`repro.cache`) the variants share
-receptor grids, receptor FFT spectra and — for post-docking parameter
-changes — whole per-probe dock results.
+receptor grids and — for post-docking parameter changes — whole
+per-probe dock results.
 
 This example runs the same sweep twice:
 
@@ -43,7 +43,6 @@ def main() -> None:
         grid_spacing=1.25,
         minimize_top=3,
         minimizer_iterations=8,
-        engine="fft",
         cache_policy="memory",
     )
     axes = dict(cluster_radius=(3.0, 4.0, 5.0), minimize_top=(3, 6))
@@ -74,7 +73,7 @@ def main() -> None:
     print(
         f"sweep speedup from artifact sharing: {ratio:.1f}x "
         f"(overall hit rate {warm.overall_hit_rate:.0%}; every variant after "
-        "the first reuses the receptor grids, FFT spectra and dock results)"
+        "the first reuses the receptor grids and dock results)"
     )
 
     # The top consensus site is stable across the cluster-radius variants

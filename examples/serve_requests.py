@@ -39,7 +39,6 @@ def main() -> None:
         grid_spacing=1.25,
         minimize_top=3,
         minimizer_iterations=8,
-        engine="fft",
     )
     service = FTMapService(cache=CacheManager(policy="memory"), max_workers=2)
     receptor_id = service.register_receptor(protein)

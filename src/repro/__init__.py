@@ -3,8 +3,9 @@
 
 The package rebuilds the full FTMap system the paper accelerates —
 
-* PIPER rigid docking (FFT + direct multi-channel grid correlation, scoring,
-  region-exclusion filtering): :mod:`repro.docking`, :mod:`repro.grids`,
+* PIPER rigid docking (certified direct multi-channel grid correlation,
+  with FFT correlation as its reference kernel, scoring, region-exclusion
+  filtering): :mod:`repro.docking`, :mod:`repro.grids`,
 * CHARMM/ACE energy minimization (Eqs. 3-10, neighbor/pairs lists, analytic
   gradients, steepest-descent driver): :mod:`repro.minimize`,
 * the binding-site mapping application (probe library, clustering,
@@ -49,10 +50,7 @@ from repro.docking import (
     DockedPose,
     DockingEngine,
     DockingRun,
-    FFTCorrelationEngine,
-    BatchedFFTCorrelationEngine,
     DirectCorrelationEngine,
-    select_backend,
     filter_top_poses,
 )
 from repro.minimize import (
@@ -93,7 +91,7 @@ from repro.api import (
 )
 from repro.obs import MetricsRegistry, Tracer, metrics_registry
 
-__version__ = "6.2.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "Molecule",
@@ -111,10 +109,7 @@ __all__ = [
     "DockedPose",
     "DockingEngine",
     "DockingRun",
-    "FFTCorrelationEngine",
-    "BatchedFFTCorrelationEngine",
     "DirectCorrelationEngine",
-    "select_backend",
     "filter_top_poses",
     "EnergyModel",
     "EnergyReport",

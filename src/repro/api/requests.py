@@ -46,7 +46,7 @@ def receptor_fingerprint(receptor: Molecule) -> str:
     Structurally equal molecules share a fingerprint (coordinates,
     parameters, topology — see :func:`repro.cache.keys.molecule_token`),
     which is exactly the property that lets concurrent requests against
-    the same receptor share grids, spectra and dock results.
+    the same receptor share grids and dock results.
     """
     return molecule_token(receptor)
 

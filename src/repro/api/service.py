@@ -21,7 +21,7 @@ Three properties define the serving layer:
   the same progress events and span names (tested).
 * **cache-aware serving** — receptors register once by content hash, and
   every artifact lookup is content-addressed, so concurrent requests
-  against the same receptor share grids, spectra and whole dock results
+  against the same receptor share grids and whole dock results
   through the manager; a repeat request is served mapped-or-cached.
 * **request-scoped accounting** — each result carries the cache delta of
   *its own* request (:meth:`CacheManager.stats_scope`), which stays

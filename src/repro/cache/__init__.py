@@ -1,7 +1,7 @@
 """Content-addressed artifact cache.
 
 The FTMap pipeline rebuilds the same expensive artifacts on every run —
-receptor energy grids, receptor FFT spectra, whole per-probe dock results
+receptor energy grids, whole per-probe dock results, minimized ensembles
 — even when the receptor and workload are identical.  This subsystem
 makes repeat mappings and parameter sweeps near-free:
 
@@ -20,10 +20,9 @@ makes repeat mappings and parameter sweeps near-free:
   for shared cache directories (TTL + byte-budget sweeps).
 
 Integration seams: receptor grid builds
-(:func:`repro.grids.energyfunctions.protein_grids_cached`), the FFT
-engines' receptor-spectra path
-(:class:`repro.docking.correlation.SpectraCache`) and per-probe dock
-results (:func:`repro.mapping.ftmap.dock_probe`).  The repeat-mapping
+(:func:`repro.grids.energyfunctions.protein_grids_cached`), per-probe dock
+results (:func:`repro.mapping.ftmap.dock_probe`) and minimized ensembles
+(:func:`repro.mapping.ftmap.minimize_poses`).  The repeat-mapping
 workload lives in :mod:`repro.mapping.sweep`.
 """
 
@@ -32,7 +31,6 @@ from repro.cache.keys import (
     array_token,
     compose_key,
     grid_spec_token,
-    grids_token,
     hash_parts,
     mapping_token,
     molecule_token,
@@ -46,7 +44,6 @@ from repro.cache.manager import (
     default_manager,
     reset_cache_registry,
     resolve_manager,
-    spectra_cache,
 )
 from repro.cache.store import (
     CODECS,
@@ -75,12 +72,10 @@ __all__ = [
     "array_token",
     "molecule_token",
     "grid_spec_token",
-    "grids_token",
     "rotation_set_token",
     "mapping_token",
     "compose_key",
     "resolve_manager",
     "default_manager",
-    "spectra_cache",
     "reset_cache_registry",
 ]

@@ -3,10 +3,9 @@
 A cache entry must never outlive the meaning of its key, so keys derive
 from the *content* of the inputs — coordinates, per-atom parameters, grid
 geometry, workload fields — never from object identity.  Structurally
-equal receptors therefore hit across object lifetimes, engine instances
-and (with the disk tier) across processes, and a recycled ``id()`` can
-never alias another object's artifacts, which the old weakref spectra
-cache had to defend against explicitly.
+equal receptors therefore hit across object lifetimes and (with the disk
+tier) across processes, and a recycled ``id()`` can never alias another
+object's artifacts.
 
 Every key embeds :data:`CACHE_FORMAT_VERSION`; bumping it invalidates all
 previously stored artifacts at once — the escape hatch when a builder's
@@ -33,7 +32,6 @@ __all__ = [
     "float_token",
     "molecule_token",
     "grid_spec_token",
-    "grids_token",
     "rotation_set_token",
     "mapping_token",
     "compose_key",
@@ -43,8 +41,8 @@ __all__ = [
 #: every previously cached artifact after a semantic change.
 CACHE_FORMAT_VERSION = 1
 
-#: Attribute used to memoize a token on hashed objects, so hot paths (the
-#: per-rotation spectra lookup) hash each grid object's bytes only once.
+#: Attribute used to memoize a token on hashed objects, so a molecule keyed
+#: again and again (a sweep's receptor) has its arrays hashed only once.
 _MEMO_ATTR = "_repro_cache_token"
 
 
@@ -98,7 +96,7 @@ def molecule_token(molecule) -> str:
     the bonded topology.  The human-readable ``name`` and free-form
     ``meta`` are deliberately excluded — they never influence artifacts.
 
-    Memoized on the instance like :func:`grids_token` (molecules flow
+    Memoized on the instance (molecules flow
     through the pipeline as immutable value objects — mutation goes via
     ``with_coords`` copies, which start unmemoized), so sweeps re-keying
     the same receptor per variant hash its arrays only once.
@@ -133,31 +131,6 @@ def grid_spec_token(spec) -> str:
     """Token of a :class:`~repro.grids.gridding.GridSpec` (exact floats)."""
     origin = ",".join(float_token(v) for v in spec.origin)
     return f"gridspec:n={spec.n};h={float_token(spec.spacing)};o={origin}"
-
-
-def grids_token(grids) -> str:
-    """Content token of an :class:`~repro.grids.energyfunctions.EnergyGrids`.
-
-    Memoized on the instance (grids are built once and treated as
-    immutable), so the per-rotation spectra path pays the channel-array
-    hash exactly once per object while staying content-addressed across
-    distinct-but-equal objects.
-    """
-    memo = getattr(grids, _MEMO_ATTR, None)
-    if memo is not None:
-        return memo
-    token = hash_parts(
-        "energy-grids",
-        grid_spec_token(grids.spec),
-        array_token(grids.channels),
-        array_token(grids.weights),
-        ";".join(grids.labels),
-    )
-    try:
-        setattr(grids, _MEMO_ATTR, token)
-    except AttributeError:  # slotted/frozen lookalikes: just recompute later
-        pass
-    return token
 
 
 def rotation_set_token(num_rotations: int, scheme: str) -> str:

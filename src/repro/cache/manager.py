@@ -26,11 +26,6 @@ lets repeated :meth:`~repro.api.service.FTMapService.map` calls and sweep
 runs hit each other's artifacts without any explicit plumbing.  The
 environment configures the default: ``REPRO_CACHE_POLICY`` (off | memory
 | disk), ``REPRO_CACHE_DIR`` and ``REPRO_CACHE_MEMORY_BYTES``.
-
-The receptor-spectra path of the FFT engines uses a dedicated always-on
-memory manager (:func:`spectra_cache`): spectra reuse across rotations is
-a core algorithmic property of PIPER, not an optional artifact cache, so
-it stays active even when the artifact cache policy is ``off``.
 """
 
 from __future__ import annotations
@@ -48,36 +43,25 @@ from repro.obs.metrics import registry
 __all__ = [
     "CACHE_POLICIES",
     "DEFAULT_MEMORY_BUDGET",
-    "DEFAULT_SPECTRA_BUDGET",
     "CacheStats",
     "CacheManager",
     "resolve_manager",
     "default_manager",
-    "spectra_cache",
     "reset_cache_registry",
 ]
 
 #: Policies a manager can run under.
 CACHE_POLICIES = ("off", "memory", "disk")
 
-#: Memory-tier byte budget when none is configured.  Sized like the
-#: batched engine's working-set budget (1 GiB): a paper-scale receptor's
-#: energy grids (~185 MB at 128^3 x 22 channels fp32) plus its spectra
-#: (~190-375 MB) must fit together, or warm repeats would LRU-thrash at
-#: exactly the scale the cache targets.
+#: Memory-tier byte budget when none is configured (1 GiB): a few
+#: paper-scale receptors' energy grids (~185 MB each at 128^3 x 22
+#: channels fp32) must fit, or warm repeats would LRU-thrash at exactly
+#: the scale the cache targets.
 DEFAULT_MEMORY_BUDGET = 1024 * 1024 * 1024
-
-#: Spectra-cache budget: one paper-scale receptor's fp64 spectra set is
-#: ~375 MB (22 channels x 128^3 half-spectrum complex128), and the old
-#: per-instance cache held up to 4 receptors — so the shared replacement
-#: must comfortably hold a few or it would silently recompute spectra per
-#: rotation at exactly the scale that matters.
-DEFAULT_SPECTRA_BUDGET = 2 * 1024 * 1024 * 1024
 
 _ENV_POLICY = "REPRO_CACHE_POLICY"
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_BUDGET = "REPRO_CACHE_MEMORY_BYTES"
-_ENV_SPECTRA_BUDGET = "REPRO_SPECTRA_CACHE_BYTES"
 
 
 @dataclass
@@ -485,7 +469,6 @@ class CacheManager:
 # -- resolution ---------------------------------------------------------------------
 
 _REGISTRY: Dict[Tuple[str, Optional[str], int], CacheManager] = {}
-_SPECTRA_MANAGER: Optional[CacheManager] = None
 
 
 def resolve_manager(
@@ -532,20 +515,6 @@ def default_manager() -> CacheManager:
     return resolve_manager("inherit")
 
 
-def spectra_cache() -> CacheManager:
-    """Shared in-process receptor-spectra cache (always on, bounded)."""
-    global _SPECTRA_MANAGER
-    if _SPECTRA_MANAGER is None:
-        env_budget = os.environ.get(_ENV_SPECTRA_BUDGET)
-        _SPECTRA_MANAGER = CacheManager(
-            policy="memory",
-            memory_bytes=int(env_budget) if env_budget else DEFAULT_SPECTRA_BUDGET,
-        )
-    return _SPECTRA_MANAGER
-
-
 def reset_cache_registry() -> None:
     """Forget all memoized managers (test isolation helper)."""
-    global _SPECTRA_MANAGER
     _REGISTRY.clear()
-    _SPECTRA_MANAGER = None

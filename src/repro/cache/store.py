@@ -1,7 +1,7 @@
 """Cache storage tiers: in-process LRU with a byte budget + on-disk store.
 
 The memory tier holds live objects behind an LRU with a byte budget, so a
-long sweep can keep its hot artifacts (receptor grids, spectra, dock
+long sweep can keep its hot artifacts (receptor grids, dock
 results) resident without growing unboundedly.  The disk tier persists
 encoded payloads with atomic writes (``os.replace`` of a unique temp
 file, safe under concurrent forked writers), versioned codecs and an

@@ -37,14 +37,14 @@ Two precisions serve the docking loop (:meth:`PiperDocker.run
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.docking.correlation import CorrelationEngine, valid_translation_shape
 from repro.grids.energyfunctions import EnergyGrids
 
-__all__ = ["DirectCorrelationEngine", "direct_correlate_batch"]
+__all__ = ["DirectCorrelationEngine"]
 
 
 class DirectCorrelationEngine(CorrelationEngine):
@@ -266,26 +266,3 @@ def _error_bound(
         return float("inf")
     m = len(coef) + n_channels + 2
     return (_gamma(m, _U32) + _gamma(m, _U64)) * total * _BOUND_SLACK
-
-
-def direct_correlate_batch(
-    receptor: EnergyGrids,
-    ligand_rotations: Sequence[EnergyGrids],
-    engine: DirectCorrelationEngine | None = None,
-) -> List[np.ndarray]:
-    """Score several rotations in one conceptual pass over the receptor grid.
-
-    Mirrors the paper's multi-rotation batching: "storing the voxel grids for
-    multiple rotations in the constant memory ... enables the correlation
-    inner loop to compute multiple scores in each iteration" (Sec. III.A).
-    Numerically the result equals per-rotation correlation; the *benefit* is
-    modeled by the GPU cost model (each receptor voxel fetched once is reused
-    by all batched rotations).
-
-    Returns one (T, T, T) weighted score grid per rotation.
-    """
-    eng = engine or DirectCorrelationEngine()
-    if not ligand_rotations:
-        return []
-    eng._check_batch(receptor, ligand_rotations)
-    return [eng.correlate(receptor, lg) for lg in ligand_rotations]

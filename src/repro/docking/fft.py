@@ -1,36 +1,38 @@
-"""FFT correlation engine — PIPER's production algorithm.
+"""FFT correlation engine — PIPER's production algorithm, kept as a reference.
 
 Each channel requires a forward FFT of the (padded) ligand grid, a complex
 modulation with the receptor's precomputed spectrum, and an inverse FFT
 ("Direct correlation on a GPU replaces the steps of forward FFT, modulation,
-and inverse FFT", Sec. III.A).  The receptor spectra are cached across
-rotations, matching PIPER, which transfers/prepares the protein grid once.
+and inverse FFT", Sec. III.A).  An engine keeps the spectra of the last
+receptor it correlated, matching PIPER, which transfers/prepares the
+protein grid once.
 
 Complexity per rotation: C channels x O(N^3 log N).  Every transform runs
 on one thread; the multicore FFT figures of Sec. V.A are cost-model output
 (:mod:`repro.perf.cpumodel`), not a runtime path.
+
+No runtime path docks with this engine: for probe-sized ligands direct
+correlation is faster (Sec. III), so :class:`~repro.docking.engine.DockingEngine`
+runs :class:`~repro.docking.direct.DirectCorrelationEngine`.  This engine is
+the reference kernel that the FFT == direct property tests and the paper
+benchmarks (Fig. 2b, the Sec. III crossover) run.
 """
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 import numpy as np
 from scipy import fft as sp_fft
 
-from typing import Optional
-
-from repro.cache.manager import CacheManager
-from repro.docking.correlation import (
-    CorrelationEngine,
-    SpectraCache,
-    valid_translation_shape,
-)
+from repro.docking.correlation import CorrelationEngine, valid_translation_shape
 from repro.grids.energyfunctions import EnergyGrids
 
 __all__ = ["FFTCorrelationEngine"]
 
 
 class FFTCorrelationEngine(CorrelationEngine):
-    """Cross-correlation via real FFTs with receptor-spectrum caching.
+    """Cross-correlation via real FFTs with receptor-spectrum reuse.
 
     With ``R`` the receptor channel and ``L`` the zero-padded ligand channel,
     the pose score ``corr(a) = sum_d L(d) R(a + d) = sum_i R(i) L(i - a)``
@@ -42,11 +44,11 @@ class FFTCorrelationEngine(CorrelationEngine):
 
     name = "fft"
 
-    def __init__(self, spectra_cache: Optional[CacheManager] = None) -> None:
-        #: Content-addressed spectra cache: structurally equal receptors
-        #: hit across engine instances (and across processes when a
-        #: disk-backed manager is injected).
-        self._receptor_cache = SpectraCache("fft-f64", cache=spectra_cache)
+    def __init__(self) -> None:
+        # (receptor, its fp64 spectra) of the last receptor correlated.
+        # Holding the receptor keeps its identity alive, so the ``is``
+        # check below cannot match a different object at a recycled id().
+        self._spectra: Optional[Tuple[EnergyGrids, np.ndarray]] = None
 
     def correlate(self, receptor: EnergyGrids, ligand: EnergyGrids) -> np.ndarray:
         self._check(receptor, ligand)
@@ -54,10 +56,12 @@ class FFTCorrelationEngine(CorrelationEngine):
         mshape = ligand.channels.shape[1:]
         t1, t2, t3 = valid_translation_shape(shape, mshape)
 
-        spectra = self._receptor_cache.get(receptor)
-        if spectra is None:
-            spectra = sp_fft.rfftn(receptor.channels.astype(np.float64), axes=(1, 2, 3))
-            self._receptor_cache.put(receptor, spectra)
+        if self._spectra is None or self._spectra[0] is not receptor:
+            self._spectra = (
+                receptor,
+                sp_fft.rfftn(receptor.channels.astype(np.float64), axes=(1, 2, 3)),
+            )
+        spectra = self._spectra[1]
 
         padded = np.zeros((ligand.n_channels, *shape), dtype=np.float64)
         padded[:, : mshape[0], : mshape[1], : mshape[2]] = ligand.channels
@@ -87,12 +91,3 @@ class FFTCorrelationEngine(CorrelationEngine):
         lig_spec = np.conj(sp_fft.rfftn(padded, axes=(1, 2, 3)))
         corr = sp_fft.irfftn(rec_spec * lig_spec, s=shape, axes=(1, 2, 3))
         return np.ascontiguousarray(corr[:, :t1, :t2, :t3])
-
-    def clear_cache(self) -> None:
-        """Drop all cached fp64 FFT spectra.
-
-        The backing store is shared (content-addressed), so this clears
-        the ``fft-f64`` spectra of *every* engine on the same manager —
-        process-wide with the default manager — not just this instance's.
-        """
-        self._receptor_cache.clear()

@@ -13,9 +13,9 @@ Per rotation (Sec. II.A / Fig. 2b):
 FTMap runs 500 rotations and retains 4 poses each -> 2000 conformations
 for the minimization phase.
 
-With the direct engine, :meth:`PiperDocker.run` does steps 2-4 as a
-certified fp32 pass: it proposes the whole score grid in fp32 with an
-error bound ε (:meth:`~repro.docking.direct.DirectCorrelationEngine.propose`),
+:meth:`PiperDocker.run` does steps 2-4 as a certified fp32 pass: it
+proposes the whole score grid in fp32 with an error bound ε
+(:meth:`~repro.docking.direct.DirectCorrelationEngine.propose`),
 rescores in fp64 only the translations the fp32 greedy leaves within 2ε
 of its last pick, and reruns the greedy on those
 (:func:`~repro.docking.filtering.certified_top_poses`).  When the
@@ -26,10 +26,11 @@ when it fails, or ε is not finite, the rotation falls back to the fp64
 rescored translations and fallbacks in ``repro_dock_rescored_translations_total``
 and ``repro_dock_certify_fallbacks_total`` and on the current span.
 
-:class:`PiperDocker` runs the :class:`~repro.docking.correlation.CorrelationEngine`
-it is handed (direct correlation by default).  Which backend to run, and
-with what rotation batch, is decided in one place:
-:class:`~repro.docking.engine.DockingEngine`.
+Docking has one path: :class:`PiperDocker` always correlates with the
+certified direct engine.  :class:`~repro.docking.engine.DockingEngine` is
+the facade every scenario calls; the per-rotation FFT engine
+(:mod:`repro.docking.fft`) survives only as a reference kernel for tests
+and the paper benchmarks.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from repro.constants import (
     MIN_DESOLVATION_TERMS,
     POSES_PER_ROTATION,
 )
-from repro.docking.correlation import CorrelationEngine
 from repro.docking.direct import DirectCorrelationEngine
 from repro.docking.filtering import certified_top_poses, filter_top_poses
 from repro.geometry.sampling import rotation_set
@@ -59,7 +59,6 @@ from repro.grids.rotation import ligand_grid_spec, rotate_and_grid_ligand
 from repro.obs.metrics import registry
 from repro.obs.trace import current_span
 from repro.structure.molecule import Molecule
-from repro.util.parallel import chunked
 
 __all__ = ["PiperConfig", "DockedPose", "PiperDocker"]
 
@@ -70,10 +69,11 @@ class PiperConfig:
 
     Defaults follow the paper: 500 rotations, 4 poses/rotation, 128^3
     receptor grid, 4^3 probe grid, 4 desolvation terms (the minimum of the
-    4..18 range).  ``batch_size`` caps how many rotations are gridded and
-    scored per batched pass (``None`` = the engine's default).  The
-    correlation backend is not part of the workload: it is
-    ``DockingEngine(backend=...)`` (or ``FTMapConfig.engine``).
+    4..18 range).  ``batch_size`` is read only by the paper model
+    :class:`~repro.gpu.docking_pipeline.GpuPiperDocker`: it caps the
+    rotations packed into the virtual device's constant memory per pass
+    (``None`` = as many as fit).  :class:`PiperDocker` docks one rotation
+    at a time and ignores it.
     """
 
     num_rotations: int = FTMAP_NUM_ROTATIONS
@@ -121,9 +121,6 @@ class PiperDocker:
         Small-molecule probe; must fit the configured probe grid.
     config:
         :class:`PiperConfig`.
-    engine:
-        The :class:`CorrelationEngine` to run; defaults to
-        :class:`DirectCorrelationEngine`.
     cache:
         Optional :class:`~repro.cache.manager.CacheManager`.  When enabled,
         the receptor grid build is served content-addressed (structurally
@@ -135,7 +132,6 @@ class PiperDocker:
         receptor: Molecule,
         probe: Molecule,
         config: PiperConfig | None = None,
-        engine: Optional[CorrelationEngine] = None,
         cache=None,
     ) -> None:
         self.receptor = receptor
@@ -155,9 +151,7 @@ class PiperDocker:
             cache=cache,
         )
         self.rotations = rotation_set(cfg.num_rotations, cfg.rotation_scheme)
-        self.engine: CorrelationEngine = (
-            engine if engine is not None else DirectCorrelationEngine()
-        )
+        self.engine = DirectCorrelationEngine()
 
     # -- single rotation ------------------------------------------------------
 
@@ -207,54 +201,19 @@ class PiperDocker:
 
     # -- full run -----------------------------------------------------------------
 
-    def run(
-        self,
-        rotation_indices: Sequence[int] | None = None,
-        batch_size: int | None = None,
-    ) -> List[DockedPose]:
+    def run(self, rotation_indices: Sequence[int] | None = None) -> List[DockedPose]:
         """Dock over all (or selected) rotations; poses sorted by energy.
 
-        Rotations are processed in batches: each batch is gridded on the
-        host, scored in one ``correlate_batch`` call, and filtered per
-        rotation.  A batch size of 1 reproduces the classic per-rotation
-        loop exactly.  ``batch_size`` defaults to the configured one, else
-        the engine's :meth:`~repro.docking.correlation.CorrelationEngine.default_batch`.
-        The direct engine instead runs the certified fp32 pass of the
-        module docstring one rotation at a time; its poses are those of
-        the fp64 loop bit for bit.
+        Each rotation runs the certified fp32 pass of the module
+        docstring; its poses are those of the fp64 per-rotation loop
+        (:meth:`poses_for_rotation`) bit for bit.
         """
         indices = list(
             range(len(self.rotations)) if rotation_indices is None else rotation_indices
         )
-        bs = batch_size
-        if bs is None:
-            bs = self.config.batch_size or self.engine.default_batch(self.receptor_grids)
-        if bs < 1:
-            raise ValueError("batch_size must be >= 1")
-        cfg = self.config
-
-        engine = self.engine
-        if isinstance(engine, DirectCorrelationEngine) and engine.skip_zero_voxels:
-            return self._run_certified(engine, indices)
-        poses: List[DockedPose] = []
-        for chunk in chunked(indices, bs):
-            grids = [self.grid_rotation(ri) for ri in chunk]
-            score_stack = self.engine.correlate_batch(self.receptor_grids, grids)
-            for ri, scores in zip(chunk, score_stack):
-                filtered = filter_top_poses(
-                    scores, cfg.poses_per_rotation, cfg.exclusion_radius
-                )
-                poses.extend(self._to_docked(ri, f) for f in filtered)
-        poses.sort()
-        return poses
-
-    def _run_certified(
-        self, engine: DirectCorrelationEngine, indices: Sequence[int]
-    ) -> List[DockedPose]:
-        """The direct engine's run: fp32 proposal, fp64 rescoring, fallback."""
         cfg = self.config
         k, r = cfg.poses_per_rotation, cfg.exclusion_radius
-        rec = self.receptor_grids
+        engine, rec = self.engine, self.receptor_grids
         poses: List[DockedPose] = []
         rescored = fallbacks = 0
         for ri in indices:

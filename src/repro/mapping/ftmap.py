@@ -64,8 +64,11 @@ __all__ = [
 ]
 
 
-#: Scheduling fields of 1.x configs; :meth:`FTMapConfig.from_dict` drops them.
-_RETIRED_FIELDS = ("probe_workers", "docking_workers")
+#: Fields of older configs that never changed a result bit of today's
+#: engines: the 1.x scheduling fields, and the rotation batch of 6.x,
+#: which the certified direct engine never read.
+#: :meth:`FTMapConfig.from_dict` drops them.
+_RETIRED_FIELDS = ("probe_workers", "docking_workers", "batch_size")
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,9 @@ class FTMapConfig:
     500 rotations x 16 probes x 2000 minimized conformations (see
     ``repro.gpu.pipeline`` for the timing-model equivalents).
 
-    ``engine`` selects the docking backend (any
-    :class:`~repro.docking.engine.DockingEngine` backend, including
-    ``"auto"``); ``minimize_engine`` selects the
+    Docking has one backend, certified ``direct``
+    (:class:`~repro.docking.engine.DockingEngine`); :attr:`engine` reads
+    it.  ``minimize_engine`` selects the
     minimization backend (any
     :class:`~repro.minimize.engine.MinimizationEngine` backend, default
     ``"auto"``).  ``minimize_devices`` shards the minimization ensemble
@@ -92,8 +95,8 @@ class FTMapConfig:
     ``cache_policy`` drives the content-addressed artifact cache
     (:mod:`repro.cache`): ``"off"`` | ``"memory"`` | ``"disk"`` | the
     default ``"inherit"``, which reads ``REPRO_CACHE_POLICY`` from the
-    environment (off unless set).  When enabled, receptor grids, receptor
-    FFT spectra and whole per-probe dock results are reused across runs
+    environment (off unless set).  When enabled, receptor grids, whole
+    per-probe dock results and minimized ensembles are reused across runs
     keyed by receptor x probe x rotation set x grid spec, which makes
     repeat mappings and parameter sweeps (:mod:`repro.mapping.sweep`)
     near-free on the docking side.  Nonsensical field values are rejected
@@ -111,8 +114,6 @@ class FTMapConfig:
     cluster_radius: float = 4.0
     consensus_radius: float = 6.0
     flexible_radius: float = 8.2
-    engine: str = "direct"            # any DockingEngine backend, or "auto"
-    batch_size: Optional[int] = None
     minimize_engine: str = "auto"     # any MinimizationEngine backend
     minimize_batch_size: Optional[int] = None
     minimize_devices: Optional[int] = None   # virtual devices for minimization
@@ -149,18 +150,12 @@ class FTMapConfig:
         ):
             if not (value > 0):
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.engine not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown docking engine {self.engine!r}; expected one of "
-                f"{BACKEND_NAMES}"
-            )
         if self.minimize_engine not in MINIMIZE_BACKEND_NAMES:
             raise ValueError(
                 f"unknown minimize engine {self.minimize_engine!r}; expected "
                 f"one of {MINIMIZE_BACKEND_NAMES}"
             )
         for name, value in (
-            ("batch_size", self.batch_size),
             ("minimize_batch_size", self.minimize_batch_size),
             ("minimize_devices", self.minimize_devices),
             ("cache_memory_bytes", self.cache_memory_bytes),
@@ -191,23 +186,39 @@ class FTMapConfig:
     def from_dict(cls, data: Dict[str, object]) -> "FTMapConfig":
         """Rebuild a config from :meth:`to_dict` output (re-validated).
 
-        Documents written by 1.x still load: the retired scheduling fields
-        ``probe_workers`` / ``docking_workers`` are dropped (they never
-        changed a result bit), and ``minimize_engine="multiprocess"`` — the
-        retired forked per-pose backend — becomes ``"serial"``, which has
-        the same serial-fp64 numerics and therefore the same results and
-        cache keys.
+        Older documents still load: the retired fields ``probe_workers`` /
+        ``docking_workers`` (1.x) and ``batch_size`` (6.x) are dropped
+        (they never changed a result bit of today's engines), and
+        ``minimize_engine="multiprocess"`` — the retired forked per-pose
+        backend — becomes ``"serial"``, which has the same serial-fp64
+        numerics and therefore the same results and cache keys.  An
+        ``engine`` field must name the one docking backend, ``"direct"``,
+        as every 6.x document with default docking does; any other name
+        gets the unknown-docking-engine error.
         """
-        known = {f.name for f in fields(cls)}
+        known = {f.name for f in fields(cls)} | {"engine"}
         unknown = sorted(set(data) - known - set(_RETIRED_FIELDS))
         if unknown:
             raise ValueError(f"unknown FTMapConfig field(s): {unknown}")
-        kwargs = {k: v for k, v in data.items() if k not in _RETIRED_FIELDS}
+        engine = data.get("engine", "direct")
+        if engine not in BACKEND_NAMES:
+            raise ValueError(
+                f"unknown docking engine {engine!r}; expected one of "
+                f"{BACKEND_NAMES}"
+            )
+        kwargs = {
+            k: v for k, v in data.items() if k not in _RETIRED_FIELDS + ("engine",)
+        }
         if kwargs.get("minimize_engine") == "multiprocess":
             kwargs["minimize_engine"] = "serial"
         if "probe_names" in kwargs:
             kwargs["probe_names"] = tuple(kwargs["probe_names"])
         return cls(**kwargs)
+
+    @property
+    def engine(self) -> str:
+        """Always ``"direct"``, the one docking backend; read-only."""
+        return "direct"
 
     @property
     def docking_workers(self) -> None:
@@ -224,8 +235,7 @@ class FTMapConfig:
         """The docking workload of this run, for :class:`DockingEngine` or
         direct :class:`PiperDocker` use.
 
-        It names what to dock; the backend that docks it is ``engine``,
-        passed separately as ``DockingEngine(backend=...)``.
+        It names what to dock, not how: docking has one backend.
         """
         return PiperConfig(
             num_rotations=self.num_rotations,
@@ -233,7 +243,6 @@ class FTMapConfig:
             receptor_grid=self.receptor_grid,
             probe_grid=self.probe_grid,
             grid_spacing=self.grid_spacing,
-            batch_size=self.batch_size,
         )
 
     def minimizer_config(self) -> MinimizerConfig:
@@ -339,10 +348,7 @@ def _dock_result_key(
 
     Keyed by receptor content x probe content x the complete docking
     workload (rotation count + scheme, grid edges and spacing, poses per
-    rotation, exclusion radius, desolvation terms/seed) *plus* the facade
-    backend and batch size: backends agree on the retained poses but not
-    bitwise on scores, so a cached result is only served to the exact
-    engine configuration that produced it.
+    rotation, exclusion radius, desolvation terms/seed).
     """
     workload = config.piper_config()
     return compose_key(
@@ -360,8 +366,9 @@ def _dock_result_key(
                 exclusion_radius=workload.exclusion_radius,
                 rotation_scheme=workload.rotation_scheme,
                 desolvation_seed=workload.desolvation_seed,
-                engine=config.engine,
-                batch_size=config.batch_size,
+                # 6.2.0's key fields for direct docking: 6.2.0 disk entries still hit.
+                engine="direct",
+                batch_size=None,
             ),
         ],
     )
@@ -378,7 +385,7 @@ def dock_probe(
     With an enabled cache (``cache`` argument, else
     ``config.cache_manager()``), the whole :class:`DockingRun` is served
     content-addressed: a repeat mapping of the same receptor/probe/workload
-    skips gridding, spectra and the rotation loop entirely.  Pose lists are
+    skips gridding and the rotation loop entirely.  Pose lists are
     shallow-copied on hits so callers may reorder them freely.
     """
     span = current_span()
@@ -393,7 +400,6 @@ def dock_probe(
         receptor,
         probe,
         config.piper_config(),
-        backend=config.engine,
         cache=manager if manager.enabled else None,
     )
     span.set_attributes(

@@ -4,7 +4,7 @@ A sweep maps one receptor under a grid of :class:`FTMapConfig` variants —
 the protocol-tuning loop of a real mapping service (how sensitive are the
 consensus sites to ``cluster_radius``?  how many rotations are enough?).
 Most variants share the expensive artifacts: every config with the same
-receptor/grid spec reuses the receptor energy grids and FFT spectra, and
+receptor/grid spec reuses the receptor energy grids, and
 variants that only touch post-docking parameters (clustering radii,
 minimization depth) reuse whole per-probe dock results.  The runner wires
 all runs through one :class:`repro.api.FTMapService` session (one shared

@@ -1,6 +1,5 @@
 """Backend auto-selection for the minimization hot path.
 
-Mirror of :mod:`repro.docking.selection`, one phase later in the pipeline.
 ``auto`` reads three inputs — the ensemble size ``P``, the per-pose
 active-pair count and the device count — and applies, in order:
 
@@ -16,11 +15,10 @@ active-pair count and the device count — and applies, in order:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.docking.selection import BackendChoice
+from typing import NamedTuple, Optional
 
 __all__ = [
+    "MinimizeChoice",
     "MINIMIZE_CPU_BACKENDS",
     "DEFAULT_MINIMIZE_BATCH",
     "ENSEMBLE_PAIR_BUDGET",
@@ -40,6 +38,13 @@ DEFAULT_MINIMIZE_BATCH = 64
 ENSEMBLE_PAIR_BUDGET = 1_500_000
 
 
+class MinimizeChoice(NamedTuple):
+    """What ``auto`` resolves to, and the pose batch it runs."""
+
+    backend: str
+    batch_size: int
+
+
 def ensemble_batch_limit(n_pairs: int, budget: int = ENSEMBLE_PAIR_BUDGET) -> int:
     """Largest pose batch keeping ``batch * n_pairs`` within the budget."""
     return max(1, budget // max(1, n_pairs))
@@ -50,7 +55,7 @@ def select_minimize_backend(
     n_pairs: int,
     batch_size: Optional[int] = None,
     devices: int = 1,
-) -> BackendChoice:
+) -> MinimizeChoice:
     """The minimization backend ``auto`` runs for an ensemble.
 
     ``batch_size`` is the pose batch the batching backends would run; by
@@ -63,7 +68,7 @@ def select_minimize_backend(
         1, min(DEFAULT_MINIMIZE_BATCH, ensemble_batch_limit(n_pairs), n_poses)
     )
     if n_poses >= 2 and devices >= 2:
-        return BackendChoice("multi-gpu-sim", batch)
+        return MinimizeChoice("multi-gpu-sim", batch)
     if n_poses >= 2 and batch >= 2:
-        return BackendChoice("batched", batch)
-    return BackendChoice("serial", 1)
+        return MinimizeChoice("batched", batch)
+    return MinimizeChoice("serial", 1)

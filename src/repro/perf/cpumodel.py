@@ -21,19 +21,38 @@ Derivations of the generic constants (all at N = 128, T = 125, C = 22):
 * ``scan_ns = 24``: Table 1 reports 200 ms for scoring + filtering: ~4
   selection scans x 2.1 M branchy compares -> 24 ns each.
 
-The correlation flop counts are the docking selector's
-(:mod:`repro.docking.selection`); this model only divides them by
-``effective_gflops``.  Nothing here describes the host this package runs
-on, and no runtime path reads it: the models feed the paper tables only.
+The correlation flop counts (:func:`fft_correlation_flops`,
+:func:`direct_correlation_flops`) are divided by ``effective_gflops``.
+Nothing here describes the host this package runs on, and no runtime path
+reads it: the models feed the paper tables only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.docking.selection import direct_correlation_flops, fft_correlation_flops
+import numpy as np
 
-__all__ = ["CpuSpec", "XEON_HARPERTOWN", "CpuModel"]
+__all__ = [
+    "CpuSpec",
+    "XEON_HARPERTOWN",
+    "CpuModel",
+    "direct_correlation_flops",
+    "fft_correlation_flops",
+]
+
+
+def fft_correlation_flops(n: int, channels: int) -> float:
+    """All FFT correlations of one rotation: per channel a forward and an
+    inverse 3-D transform (~5 n^3 log2(n^3) flops each) plus the spectrum
+    product; the receptor spectra are precomputed."""
+    return channels * (2 * 5.0 * n**3 * np.log2(float(n) ** 3) + 6.0 * n**3)
+
+
+def direct_correlation_flops(n: int, m: int, channels: int) -> float:
+    """Direct correlation of one rotation: 2 flops per multiply-accumulate."""
+    t = n - m + 1
+    return 2.0 * t**3 * m**3 * channels
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,6 @@ class TestResultTimeoutContract:
             receptor_grid=24,
             minimize_top=1,
             minimizer_iterations=2,
-            engine="fft",
         )
         with FTMapService(max_workers=1) as service:
             handle = service.submit(MapRequest(receptor=protein, config=cfg))

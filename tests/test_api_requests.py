@@ -25,8 +25,6 @@ class TestConfigSerialization:
             grid_spacing=1.0,
             minimize_top=4,
             minimizer_iterations=25,
-            engine="batched-fft",
-            batch_size=8,
             minimize_engine="batched",
             minimize_batch_size=4,
             minimize_devices=2,
@@ -244,6 +242,17 @@ class TestWireSchema:
         with pytest.raises(InvalidRequestError, match="unknown .*engine 'gpu-sim'"):
             MapRequest.from_dict(doc)
 
+    @pytest.mark.parametrize("engine", ["fft", "batched-fft", "auto"])
+    def test_retired_docking_engine_is_invalid_request(self, engine):
+        """The FFT engines and ``auto`` left the runtime in 7.0.0; a
+        document naming one gets the unknown-docking-engine error."""
+        doc = MapRequest(receptor="a" * 64).to_dict()
+        doc["config"]["engine"] = engine
+        with pytest.raises(
+            InvalidRequestError, match=f"unknown docking engine '{engine}'"
+        ):
+            MapRequest.from_dict(doc)
+
     def test_progress_event_round_trip(self):
         from repro.api.jobs import ProgressEvent
 
@@ -262,7 +271,6 @@ class TestWireSchema:
             receptor_grid=24,
             minimize_top=1,
             minimizer_iterations=2,
-            engine="fft",
         )
         with FTMapService() as service:
             result = service.map(protein, config=cfg)

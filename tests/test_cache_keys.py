@@ -8,13 +8,11 @@ from repro.cache.keys import (
     array_token,
     compose_key,
     grid_spec_token,
-    grids_token,
     hash_parts,
     mapping_token,
     molecule_token,
     rotation_set_token,
 )
-from repro.grids.energyfunctions import EnergyGrids
 from repro.grids.gridding import GridSpec
 from repro.structure import build_probe, synthetic_protein
 
@@ -79,23 +77,6 @@ class TestGridTokens:
         assert grid_spec_token(a) == grid_spec_token(b) == a.cache_token()
         c = GridSpec(n=16, spacing=1.25 + 1e-12, origin=(0.0, 0.0, 0.0))
         assert grid_spec_token(a) != grid_spec_token(c)
-
-    def test_grids_token_content_addressed_and_memoized(self):
-        spec = GridSpec(n=4, spacing=1.0)
-        chans = np.random.default_rng(0).normal(size=(2, 4, 4, 4))
-        a = EnergyGrids(spec=spec, channels=chans, weights=np.ones(2), labels=["x", "y"])
-        b = EnergyGrids(spec=spec, channels=chans.copy(), weights=np.ones(2), labels=["x", "y"])
-        t = grids_token(a)
-        assert t == grids_token(b)            # distinct objects, equal content
-        assert grids_token(a) is t or grids_token(a) == t
-        assert hasattr(a, "_repro_cache_token")  # memoized on the instance
-
-    def test_grids_token_changes_with_weights(self):
-        spec = GridSpec(n=4, spacing=1.0)
-        chans = np.zeros((2, 4, 4, 4), dtype=np.float32)
-        a = EnergyGrids(spec=spec, channels=chans, weights=np.ones(2), labels=["x", "y"])
-        b = EnergyGrids(spec=spec, channels=chans, weights=np.full(2, 2.0), labels=["x", "y"])
-        assert grids_token(a) != grids_token(b)
 
 
 class TestComposedKeys:

@@ -12,7 +12,6 @@ from repro.cache import (
     compose_key,
     reset_cache_registry,
     resolve_manager,
-    spectra_cache,
 )
 
 
@@ -343,10 +342,6 @@ class TestResolution:
     def test_inherit_defaults_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_POLICY", raising=False)
         assert resolve_manager("inherit").policy == "off"
-
-    def test_spectra_cache_always_on(self):
-        assert spectra_cache().enabled
-        assert spectra_cache() is spectra_cache()
 
 
 class TestPickling:

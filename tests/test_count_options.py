@@ -19,8 +19,8 @@ def test_lists_defaults_and_config_fields(capsys):
     *listed, total = capsys.readouterr().out.splitlines()
     assert int(total) == len(listed) == len(set(listed))
     # A facade keyword with a default, and config fields with and without one.
-    assert "repro.DockingEngine(batch_size)" in listed
+    assert "repro.DockingEngine(backend)" in listed
     assert "repro.PiperConfig(num_rotations)" in listed
     assert "repro.MinimizerConfig(max_iterations)" in listed
     # Callables without defaults contribute nothing.
-    assert not any(line.startswith("repro.select_backend(n)") for line in listed)
+    assert not any(line.startswith("repro.build_probe(name)") for line in listed)

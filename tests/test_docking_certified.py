@@ -383,7 +383,6 @@ def test_dock_span_and_counters_record_certification():
         receptor_grid=24,
         minimize_top=1,
         minimizer_iterations=1,
-        engine="direct",
         tracing=True,
     )
     rescored, fallbacks = _rescored(), _fallbacks()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.docking.correlation import valid_translations
-from repro.docking.direct import DirectCorrelationEngine, direct_correlate_batch
+from repro.docking.direct import DirectCorrelationEngine
 from repro.docking.fft import FFTCorrelationEngine
 from repro.grids.energyfunctions import EnergyGrids
 from repro.grids.gridding import GridSpec
@@ -97,25 +97,6 @@ class TestDirectEngine:
         with pytest.raises(ValueError, match="channel mismatch"):
             DirectCorrelationEngine().correlate(rec, lig)
 
-    def test_batch_equals_sequential(self, rng):
-        rec, _ = random_grids(rng, 8, 2)
-        ligs = [random_grids(rng, 8, 2)[1] for _ in range(3)]
-        eng = DirectCorrelationEngine()
-        batch = direct_correlate_batch(rec, ligs, eng)
-        seq = [eng.correlate(rec, lg) for lg in ligs]
-        for a, b in zip(batch, seq):
-            assert np.allclose(a, b)
-
-    def test_batch_geometry_mismatch(self, rng):
-        rec, lig2 = random_grids(rng, 8, 2)
-        _, lig3 = random_grids(rng, 8, 3)
-        with pytest.raises(ValueError):
-            direct_correlate_batch(rec, [lig2, lig3])
-
-    def test_batch_empty(self, rng):
-        rec, _ = random_grids(rng, 8, 2)
-        assert direct_correlate_batch(rec, []) == []
-
     def test_matches_per_voxel_loop_bitwise(self):
         """The buffered accumulation adds exactly the terms of the plain
         loop ``out += v * rec64[window]``, in the same order."""
@@ -139,16 +120,26 @@ class TestDirectEngine:
 
 
 class TestFFTEngine:
-    def test_receptor_cache_reused(self, rng):
-        from repro.cache import CacheManager
+    def test_receptor_cache_reused(self, rng, monkeypatch):
+        """The engine transforms a receptor once and reuses its spectra for
+        later rotations; a different receptor object, even one with equal
+        content, is transformed anew (identity, not a recyclable id())."""
+        import repro.docking.fft as fft_module
 
         rec, lig = random_grids(rng, 8, 2)
-        manager = CacheManager(policy="memory")
-        eng = FFTCorrelationEngine(spectra_cache=manager)
-        eng.correlate(rec, lig)
-        assert (manager.stats.misses, manager.stats.hits) == (1, 0)
-        eng.correlate(rec, lig)
-        assert (manager.stats.misses, manager.stats.hits) == (1, 1)
-        eng.clear_cache()
-        eng.correlate(rec, lig)
-        assert manager.stats.misses == 2   # spectra recomputed after clear
+        transforms = []
+        rfftn = fft_module.sp_fft.rfftn
+
+        def counting_rfftn(x, *args, **kwargs):
+            transforms.append(x.shape)
+            return rfftn(x, *args, **kwargs)
+
+        monkeypatch.setattr(fft_module.sp_fft, "rfftn", counting_rfftn)
+        eng = FFTCorrelationEngine()
+        first = eng.correlate(rec, lig)
+        assert len(transforms) == 2                 # receptor + ligand
+        np.testing.assert_array_equal(eng.correlate(rec, lig), first)
+        assert len(transforms) == 3                 # the ligand only
+        twin = EnergyGrids(rec.spec, rec.channels.copy(), rec.weights, rec.labels)
+        np.testing.assert_array_equal(eng.correlate(twin, lig), first)
+        assert len(transforms) == 5                 # receptor transformed again

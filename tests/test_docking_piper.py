@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.docking import FFTCorrelationEngine, PiperConfig, PiperDocker
+from repro.docking import PiperConfig, PiperDocker
+from repro.docking.fft import FFTCorrelationEngine
+from repro.docking.filtering import filter_top_poses
 
 
 class TestPiperConfig:
@@ -44,13 +46,22 @@ class TestPiperDocker:
         assert {p.rotation_index for p in poses} == {0, 3}
 
     def test_engines_agree_on_best_pose(self, small_protein, ethanol):
-        cfg = PiperConfig(num_rotations=3, receptor_grid=32, probe_grid=4, grid_spacing=1.25)
-        d_direct = PiperDocker(small_protein, ethanol, cfg)
-        d_fft = PiperDocker(small_protein, ethanol, cfg, engine=FFTCorrelationEngine())
-        p1 = d_direct.run()
-        p2 = d_fft.run()
-        assert p1[0].translation == p2[0].translation
-        assert p1[0].score == pytest.approx(p2[0].score, rel=1e-5)
+        """The per-rotation FFT reference kernel, filtered like the fp64
+        loop, keeps the poses that the certified direct run keeps."""
+        cfg = PiperConfig(num_rotations=4, receptor_grid=32, probe_grid=4, grid_spacing=1.25)
+        docker = PiperDocker(small_protein, ethanol, cfg)
+        fft = FFTCorrelationEngine()
+        reference = []
+        for ri in range(cfg.num_rotations):
+            scores = fft.correlate(docker.receptor_grids, docker.grid_rotation(ri))
+            kept = filter_top_poses(scores, cfg.poses_per_rotation, cfg.exclusion_radius)
+            reference.extend((f.score, ri, f.translation) for f in kept)
+        reference.sort()
+        poses = docker.run()
+        assert len(poses) == len(reference)
+        for (score, ri, translation), pose in zip(reference, poses):
+            assert (pose.rotation_index, pose.translation) == (ri, translation)
+            assert pose.score == pytest.approx(score, rel=1e-4)
 
     def test_transform_places_probe_on_grid(self, small_docker):
         """The pose transform must map the probe to the receptor-grid region

@@ -45,7 +45,6 @@ TINY = FTMapConfig(
     receptor_grid=24,
     minimize_top=2,
     minimizer_iterations=2,
-    engine="fft",
 )
 
 TENANTS = [
@@ -189,7 +188,6 @@ class TestProcessStreamingOverHTTP:
         receptor_grid=24,
         minimize_top=2,
         minimizer_iterations=2,
-        engine="fft",
     )
 
     def test_process_streaming_bitwise_identical_over_tcp(
@@ -265,6 +263,15 @@ class TestRejections:
         body = MapRequest(receptor=receptor_hash, config=TINY).to_dict()
         body["config"][field] = "gpu-sim"
         with pytest.raises(InvalidRequestError, match="gpu-sim"):
+            acme.submit(body)
+
+    @pytest.mark.parametrize("engine", ["fft", "batched-fft", "auto"])
+    def test_retired_docking_engine_rejected(self, acme, receptor_hash, engine):
+        body = MapRequest(receptor=receptor_hash, config=TINY).to_dict()
+        body["config"]["engine"] = engine
+        with pytest.raises(
+            InvalidRequestError, match=f"unknown docking engine '{engine}'"
+        ):
             acme.submit(body)
 
     def test_malformed_json_is_400(self, gateway):

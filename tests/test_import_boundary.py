@@ -108,6 +108,27 @@ def test_import_api_loads_no_paper_model():
     assert out.stdout.split() == []
 
 
+def test_import_api_loads_no_fft_engine():
+    """Docking has one runtime path, certified ``direct``: the FFT
+    reference kernel is imported by the tests and benchmarks that use it,
+    and the batched FFT engine no longer exists.  Checked in a fresh
+    interpreter, like the paper-model boundary above."""
+    code = (
+        "import sys, repro.api\n"
+        "print('\\n'.join(m for m in sys.modules if m.startswith('repro.docking.')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=PACKAGE_ROOT.parent,
+    )
+    loaded = set(out.stdout.split())
+    assert "repro.docking.direct" in loaded
+    assert not loaded & {"repro.docking.fft", "repro.docking.batched"}
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -122,4 +143,4 @@ def test_import_api_loads_no_paper_model():
 )
 def test_scanner_sees_every_import_form(source):
     assert _violations(source, "repro.docking")
-    assert not _violations("from ..docking import batched\n", "repro.minimize")
+    assert not _violations("from ..docking import direct\n", "repro.minimize")

@@ -167,11 +167,14 @@ class TestZeroPoseProbe:
 
 class TestEngineRouting:
     def test_piper_config_passes_cpu_engines(self):
-        """Every engine docks the same workload: the engine goes to
-        ``DockingEngine(backend=...)``, not into the config."""
-        workload = FTMapConfig().piper_config()
-        for engine in ("direct", "fft", "batched-fft", "auto"):
-            assert FTMapConfig(engine=engine).piper_config() == workload
+        """The one engine docks the config's workload: ``engine`` is the
+        read-only ``"direct"``, and a document naming it docks the same
+        workload as one that does not."""
+        cfg = FTMapConfig.from_dict({"engine": "direct"})
+        assert cfg.engine == FTMapConfig().engine == "direct"
+        assert cfg.piper_config() == FTMapConfig().piper_config()
+        with pytest.raises(AttributeError):
+            cfg.engine = "fft"
 
 
 class TestProcessStreaming:
@@ -230,7 +233,7 @@ class TestConfigValidation:
 
     def test_unknown_engines_rejected(self):
         with pytest.raises(ValueError, match="docking engine"):
-            FTMapConfig(engine="warp-drive")
+            FTMapConfig.from_dict({"engine": "warp-drive"})
         with pytest.raises(ValueError, match="minimize engine"):
             FTMapConfig(minimize_engine="warp-drive")
 
@@ -238,7 +241,7 @@ class TestConfigValidation:
         """The virtual GPU is a paper model, not a backend: a config or a
         document naming it gets the unknown-backend error, unmigrated."""
         with pytest.raises(ValueError, match="unknown docking engine 'gpu-sim'"):
-            FTMapConfig(engine="gpu-sim")
+            FTMapConfig.from_dict({"engine": "gpu-sim"})
         with pytest.raises(ValueError, match="unknown minimize engine 'gpu-sim'"):
             FTMapConfig(minimize_engine="gpu-sim")
         for field in ("engine", "minimize_engine"):
@@ -247,6 +250,28 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="gpu-sim"):
                 FTMapConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("engine", ["fft", "batched-fft", "auto"])
+    def test_retired_docking_engine_is_unknown(self, engine):
+        """The FFT engines and ``auto`` left the runtime in 7.0.0: a
+        document naming one gets the unknown-docking-engine error, and
+        the constructor has no ``engine`` to set."""
+        doc = FTMapConfig().to_dict()
+        doc["engine"] = engine
+        with pytest.raises(ValueError, match=f"unknown docking engine '{engine}'"):
+            FTMapConfig.from_dict(doc)
+        with pytest.raises(TypeError):
+            FTMapConfig(engine=engine)
+
+    def test_6_2_document_loads(self):
+        """A 6.2.0 ``to_dict()`` carries ``engine="direct"`` and
+        ``batch_size``: the engine is accepted and the rotation batch,
+        which never changed a result bit of ``direct``, is dropped."""
+        doc = FTMapConfig(num_rotations=6).to_dict()
+        assert "engine" not in doc and "batch_size" not in doc
+        for batch_size in (None, 8):
+            legacy = dict(doc, engine="direct", batch_size=batch_size)
+            assert FTMapConfig.from_dict(legacy) == FTMapConfig(num_rotations=6)
+
     def test_unknown_cache_policy_rejected(self):
         with pytest.raises(ValueError, match="cache policy"):
             FTMapConfig(cache_policy="turbo")
@@ -254,8 +279,8 @@ class TestConfigValidation:
     def test_bad_optional_counts_rejected(self):
         with pytest.raises(ValueError, match="minimize_devices"):
             FTMapConfig(minimize_devices=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            FTMapConfig(batch_size=0)
+        with pytest.raises(ValueError, match="minimize_batch_size"):
+            FTMapConfig(minimize_batch_size=0)
         with pytest.raises(ValueError, match="cache_memory_bytes"):
             FTMapConfig(cache_memory_bytes=0)
 
@@ -287,7 +312,6 @@ class TestArtifactCache:
             grid_spacing=1.25,
             minimize_top=2,
             minimizer_iterations=4,
-            engine="fft",
         )
         base.update(overrides)
         return FTMapConfig(**base)
@@ -318,7 +342,7 @@ class TestArtifactCache:
         cfg = self._config(cache_policy="memory")
         cold = map_result(protein, cfg)
         warm = map_result(protein, cfg)
-        assert cold.cache_stats.misses >= 4        # grids+spectra+dock+minimize
+        assert cold.cache_stats.misses == 3        # grids+dock+minimize
         assert warm.cache_stats.misses == 0
         assert warm.cache_stats.hits == 2          # one probe: dock + minimize
         assert warm.cache_stats.hit_rate == 1.0
@@ -373,19 +397,12 @@ class TestDockResultKeyGoldens:
     """The dock-result cache key must not move under a docking-config
     refactor: a silent re-key would orphan every stored dock result.
     Values computed before the backend choice left ``PiperConfig``; a
-    deliberate key change bumps ``CACHE_FORMAT_VERSION`` and updates them."""
+    deliberate key change bumps ``CACHE_FORMAT_VERSION`` and updates them.
+    The ``direct`` key of 6.2.0 is today's only dock-result key."""
 
     GOLDENS = {
         (("engine", "direct"),):
             "ae79f288fdec0ac431947ca4e932445d7c40b1d8dfcd11da9c3ae91e1da4a8fe",
-        (("engine", "fft"),):
-            "1dc1bfb814aeeee613e38dd4d865a64460cffd6c99962b3638df95e90e03f495",
-        (("engine", "batched-fft"),):
-            "6b68b5fb7c650731d899fe62f821c73729f29fc346bd3c1fe2cb51d5c2551486",
-        (("engine", "auto"),):
-            "a8cede18d268665ff2eff64e5cd3c1d3ff819b78e509ad11a9abb1d8e6c02881",
-        (("engine", "batched-fft"), ("batch_size", 2)):
-            "f44ea6092d1360adda991d92497bd56fc8eb0cb038dc20aef6985ff15acee53b",
     }
 
     @pytest.mark.parametrize(
@@ -396,22 +413,24 @@ class TestDockResultKeyGoldens:
 
         receptor = synthetic_protein(n_residues=30, seed=11)
         key = _dock_result_key(
-            receptor, build_probe("ethanol"), FTMapConfig(**dict(fields))
+            receptor, build_probe("ethanol"), FTMapConfig.from_dict(dict(fields))
         )
         assert key == "dock-results/" + self.GOLDENS[fields]
 
 
 class TestLegacyDockRunEntries:
     """4.0.0 pickled a ``BackendDecision`` into every cached ``DockingRun``.
-    The class is gone, so such an entry cannot load: the disk tier must drop
-    it as corrupt and the dock stage recompute, under the same key."""
+    The class is gone (and since 7.0.0 its module too), so such an entry
+    cannot load: the disk tier must drop it as corrupt and the dock stage
+    recompute, under the same key."""
 
     def test_entry_naming_deleted_decision_class_is_recomputed(
         self, tmp_path, monkeypatch
     ):
+        import sys
+        import types
         from dataclasses import dataclass
 
-        import repro.docking.selection as selection
         from repro.cache import CacheManager
         from repro.cache.store import DiskStore
         from repro.docking.engine import DockingRun
@@ -432,11 +451,15 @@ class TestLegacyDockRunEntries:
             grid_spacing=1.25,
         )
         key = _dock_result_key(receptor, probe, cfg)
-        legacy = DockingRun(poses=[], backend="direct", batch_size=1)
+        legacy = DockingRun(poses=[], backend="direct")
+        legacy.batch_size = 1
         legacy.decision = BackendDecision("direct", 1, {"direct": 1e-3})
+        selection = types.ModuleType("repro.docking.selection")
+        selection.BackendDecision = BackendDecision
         with monkeypatch.context() as patch:
-            patch.setattr(selection, "BackendDecision", BackendDecision, raising=False)
+            patch.setitem(sys.modules, "repro.docking.selection", selection)
             DiskStore(tmp_path).put(key, legacy)
+        assert "repro.docking.selection" not in sys.modules
         (entry,) = tmp_path.rglob("*.bin")
         assert b"repro.docking.selection" in entry.read_bytes()
         assert b"BackendDecision" in entry.read_bytes()
@@ -472,10 +495,8 @@ class TestLegacyDockRunEntries:
             grid_spacing=1.25,
         )
         fresh = dock_probe(receptor, probe, cfg, cache=CacheManager(policy="off"))
-        legacy = DockingRun(
-            poses=list(fresh.poses), backend=fresh.backend,
-            batch_size=fresh.batch_size,
-        )
+        legacy = DockingRun(poses=list(fresh.poses), backend=fresh.backend)
+        legacy.batch_size = 1                     # a 6.x field
         legacy.predicted_device_time_s = None     # the 5.0.0 field
         DiskStore(tmp_path).put(_dock_result_key(receptor, probe, cfg), legacy)
         (entry,) = tmp_path.rglob("*.bin")
@@ -488,5 +509,41 @@ class TestLegacyDockRunEntries:
         assert [(p.score, p.rotation_index, p.translation) for p in run.poses] == [
             (p.score, p.rotation_index, p.translation) for p in fresh.poses
         ]
-        assert (run.backend, run.batch_size) == (fresh.backend, fresh.batch_size)
+        assert run.backend == fresh.backend
+        assert set(vars(run)) == {f.name for f in fields(DockingRun)}
+
+    def test_6_2_entry_with_batch_size_is_a_hit(self, tmp_path):
+        """6.2.0 pickled ``DockingRun.batch_size`` (1 for ``direct``).  The
+        dock-result key of the default docking is unchanged, so such an
+        entry is served under today's key, and the run handed back has
+        only today's fields."""
+        from dataclasses import fields
+
+        from repro.cache import CacheManager
+        from repro.cache.store import DiskStore
+        from repro.docking.engine import DockingRun
+        from repro.mapping.ftmap import _dock_result_key
+
+        receptor = synthetic_protein(n_residues=30, seed=11)
+        probe = build_probe("ethanol")
+        cfg = FTMapConfig.from_dict({
+            "probe_names": ["ethanol"], "num_rotations": 2, "receptor_grid": 32,
+            "grid_spacing": 1.25, "engine": "direct", "batch_size": None,
+        })
+        fresh = dock_probe(receptor, probe, cfg, cache=CacheManager(policy="off"))
+        legacy = DockingRun(poses=list(fresh.poses), backend="direct")
+        legacy.batch_size = 1
+        DiskStore(tmp_path).put(_dock_result_key(receptor, probe, cfg), legacy)
+        (entry,) = tmp_path.rglob("*.bin")
+        assert b"batch_size" in entry.read_bytes()
+
+        manager = CacheManager(policy="disk", directory=str(tmp_path))
+        run = dock_probe(receptor, probe, cfg, cache=manager)
+        assert manager.stats.disk_hits == 1
+        assert manager.stats.misses == 0
+        assert manager.stats.corrupt_entries == 0
+        assert [(p.score, p.rotation_index, p.translation) for p in run.poses] == [
+            (p.score, p.rotation_index, p.translation) for p in fresh.poses
+        ]
+        assert run.backend == "direct"
         assert set(vars(run)) == {f.name for f in fields(DockingRun)}

@@ -30,7 +30,6 @@ def tiny_config(**overrides):
         grid_spacing=1.25,
         minimize_top=2,
         minimizer_iterations=4,
-        engine="fft",
         cache_policy="memory",
     )
     base.update(overrides)

@@ -378,7 +378,6 @@ def _tiny_config(**overrides):
         grid_spacing=1.8,
         minimize_top=4,
         minimizer_iterations=6,
-        engine="direct",
         cache_policy="off",
     )
     base.update(overrides)

@@ -27,7 +27,6 @@ TINY = FTMapConfig(
     receptor_grid=24,
     minimize_top=2,
     minimizer_iterations=2,
-    engine="fft",
 )
 
 TRACED = FTMapConfig(
@@ -36,7 +35,6 @@ TRACED = FTMapConfig(
     receptor_grid=24,
     minimize_top=2,
     minimizer_iterations=2,
-    engine="fft",
     tracing=True,
 )
 
@@ -84,7 +82,6 @@ class TestServiceTracing:
             receptor_grid=24,
             minimize_top=4,
             minimizer_iterations=2,
-            engine="fft",
             minimize_engine="multi-gpu-sim",
             minimize_devices=2,
             tracing=True,

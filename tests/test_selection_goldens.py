@@ -1,55 +1,21 @@
-"""Golden ``auto`` choices of both backend selectors.
+"""Golden ``auto`` choices of the minimization selector.
 
-The goldens were recorded from the 4.0.0 selectors, which priced every
-backend with the paper's serial-host and C1060 cost models.  The rules
-that replaced them must reproduce those choices: every docking cell, and
-every minimization cell without devices except the listed ones, all
-at 400k or more pairs per pose.  With two or more devices the old
-pricing flipped with ensemble size; the rule shards every ensemble of
-two or more poses, and those cells are checked against the rule
-directly.
+The goldens were recorded from the 4.0.0 selector, which priced every
+backend with the paper's serial-host and C1060 cost models.  The rule
+that replaced it must reproduce those choices: every cell without
+devices except the listed ones, all at 400k or more pairs per pose.
+With two or more devices the old pricing flipped with ensemble size; the
+rule shards every ensemble of two or more poses, and those cells are
+checked against the rule directly.
 """
 
 import itertools
 
 import pytest
 
-from repro.docking.selection import select_backend
 from repro.minimize.selection import ensemble_batch_limit, select_minimize_backend
 
-DOCK_CODES = {"d": "direct", "f": "fft", "b": "batched-fft"}
 MIN_CODES = {"s": "serial", "b": "batched"}
-
-#: Columns of each docking row: channels x rotations.
-DOCK_CHANNELS = (4, 8, 22)
-DOCK_ROTATIONS = (1, 2, 4, 8, 24, 72, 500)
-
-#: (receptor edge n, ligand edge m) -> one code per (channels, rotations),
-#: channel groups separated by spaces.  Includes the crossover shapes of
-#: ``benchmarks/test_direct_vs_fft_crossover.py`` (n=128, m=2 and 16,
-#: 22 channels, 500 rotations).
-DOCK_GOLDENS = {
-    (32, 2): "ddddddd ddddddd ddddddd",
-    (32, 4): "dbbbbbb dbbbbbb dbbbbbb",
-    (32, 8): "fbbbbbb fbbbbbb fbbbbbb",
-    (32, 12): "fbbbbbb fbbbbbb fbbbbbb",
-    (32, 16): "fbbbbbb fbbbbbb fbbbbbb",
-    (48, 2): "ddddddd ddddddd ddddddd",
-    (48, 4): "dbbbbbb dbbbbbb dbbbbbb",
-    (48, 8): "fbbbbbb fbbbbbb fbbbbbb",
-    (48, 12): "fbbbbbb fbbbbbb fbbbbbb",
-    (48, 16): "fbbbbbb fbbbbbb fbbbbbb",
-    (64, 2): "ddddddd ddddddd ddddddd",
-    (64, 4): "dbbbbbb dbbbbbb dbbbbbb",
-    (64, 8): "fbbbbbb fbbbbbb fbbbbbb",
-    (64, 12): "fbbbbbb fbbbbbb fbbbbbb",
-    (64, 16): "fbbbbbb fbbbbbb fbbbbbb",
-    (128, 2): "ddddddd ddddddd ddddddd",
-    (128, 4): "ddbbbbb dbbbbbb dbbbbbb",
-    (128, 8): "fbbbbbb fbbbbbb fbbbbbb",
-    (128, 12): "fbbbbbb fbbbbbb fbbbbbb",
-    (128, 16): "fbbbbbb fbbbbbb fbbbbbb",
-}
 
 #: Columns of each minimization row: active pairs per pose.
 MIN_PAIRS = (
@@ -78,15 +44,6 @@ MIN_EXCEPTIONS = {
     (5, 400_000), (5, 500_000), (5, 600_000), (5, 750_000),
     (8, 400_000), (8, 500_000),
 }
-
-
-@pytest.mark.parametrize("n,m", list(DOCK_GOLDENS))
-def test_docking_auto_matches_golden(n, m):
-    codes = DOCK_GOLDENS[(n, m)].replace(" ", "")
-    cells = itertools.product(DOCK_CHANNELS, DOCK_ROTATIONS)
-    for code, (channels, rotations) in zip(codes, cells, strict=True):
-        got = select_backend(n, m, channels, num_rotations=rotations).backend
-        assert got == DOCK_CODES[code], (n, m, channels, rotations)
 
 
 def test_minimize_auto_matches_golden_outside_listed_cells():

@@ -43,7 +43,6 @@ def tiny_config(**overrides):
         grid_spacing=1.25,
         minimize_top=2,
         minimizer_iterations=4,
-        engine="fft",
         cache_policy="off",
         tracing=True,
     )
